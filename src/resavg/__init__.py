@@ -34,15 +34,14 @@ from .tower import (
     classify,
     decompose,
     degenerate_levels,
-    first_linear_gap_index,
     first_power_gap_index,
     gap_check_linear,
     gap_check_power,
     is_nested,
     is_prime_system,
+    levels,
     measure_telescope,
     measure_term,
-    recursion_check,
     zeta_partial,
 )
 
@@ -72,15 +71,14 @@ __all__ = [
     "classify",
     "decompose",
     "degenerate_levels",
-    "first_linear_gap_index",
     "first_power_gap_index",
     "gap_check_linear",
     "gap_check_power",
     "is_nested",
     "is_prime_system",
+    "levels",
     "measure_telescope",
     "measure_term",
-    "recursion_check",
     "zeta_partial",
 ]
 

@@ -142,13 +142,12 @@ class RunReport:
         }
 
 
-def tower_table_rows(t: IndexTower, digits: int) -> list[dict[str, Any]]:
+def tower_table_rows(t: IndexTower) -> list[dict[str, Any]]:
     """Per-level table: coefficients, measure term, running average."""
     rows = []
     partial = Fraction(0)
-    for j in range(1, len(t) + 1):
-        dec = tower.decompose(t, j)
-        term = tower.measure_term(t, j)
+    for j, dec in enumerate(tower.levels(t), start=1):
+        term = Fraction(dec.s - 1, dec.r * dec.s * dec.t)
         partial += t.d_at(j) * term
         rows.append(
             {
@@ -175,7 +174,7 @@ def _emit(report: RunReport, args: argparse.Namespace, table_tower: IndexTower |
         if table_tower is None:
             raise ValueError("--csv applies only to commands that carry a tower table")
         print(",".join(CSV_COLUMNS))
-        for row in tower_table_rows(table_tower, args.digits):
+        for row in tower_table_rows(table_tower):
             print(",".join(str(row[c]) for c in CSV_COLUMNS))
         return
     payload: Any = report.results if getattr(args, "quiet", False) else report.to_json()
@@ -460,7 +459,6 @@ def _cmd_tower_check(args) -> tuple[dict, list, IndexTower | None]:
         "levels": len(t),
         "consistent": first_bad is None,
         "first_inconsistent_level": first_bad,
-        "recursion_check": tower.recursion_check(t),
     }
     warnings: list[str] = []
     if first_bad is None:

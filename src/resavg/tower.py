@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DegenerateLevel, InconsistentTower, InsufficientData
 
@@ -48,9 +48,10 @@ class IndexTower:
 
     Construction validates shape only (equal lengths, entries positive,
     d non-decreasing, d >= 2).  The divisibility relations that a real
-    subgroup lattice would force are checked lazily by decompose(),
-    which raises InconsistentTower on data that cannot arise from one;
-    this allows deliberately broken towers to be built and diagnosed.
+    subgroup lattice would force are checked lazily by decompose() and
+    levels(), which raise InconsistentTower on data that cannot arise
+    from one; this allows deliberately broken towers to be built and
+    diagnosed.
     """
 
     name: str
@@ -120,6 +121,28 @@ def _check_prefix(tower: IndexTower, j: int) -> None:
         raise ValueError(f"prefix length {j} out of range 0..{len(tower)}")
 
 
+def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecomposition:
+    """(r, s, t) at level j from d[j], l[j-1] and l[j].
+
+    Every division has a small quotient or a small divisor: once
+    l[j] = s*l[j-1] is known, d[j]*l[j-1]/l[j] = d[j]/s, so the third
+    integrality condition is s | d[j] and the product d[j]*l[j-1] is
+    only formed for the error message.
+    """
+    s, rem = divmod(lj, lprev)
+    if rem:
+        raise InconsistentTower(f"{name}: l[{j - 1}] = {lprev} does not divide l[{j}] = {lj}")
+    t, rem = divmod(lj, dj)
+    if rem:
+        raise InconsistentTower(f"{name}: d[{j}] = {dj} does not divide l[{j}] = {lj}")
+    r, rem = divmod(dj, s)
+    if rem:
+        raise InconsistentTower(
+            f"{name}: d[{j}]*l[{j - 1}] = {dj * lprev} is not a multiple of l[{j}] = {lj}"
+        )
+    return LevelDecomposition(r=r, s=s, t=t)
+
+
 def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
     """Exact (r, s, t) at level j.
 
@@ -128,22 +151,23 @@ def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
     which is the signal that (d, l) cannot come from a subgroup lattice.
     """
     _check_level(tower, j)
-    dj = tower.d_at(j)
-    lj = tower.l_at(j)
-    lprev = tower.l_at(j - 1)
-    if lj % lprev:
-        raise InconsistentTower(
-            f"{tower.name}: l[{j - 1}] = {lprev} does not divide l[{j}] = {lj}"
-        )
-    if lj % dj:
-        raise InconsistentTower(
-            f"{tower.name}: d[{j}] = {dj} does not divide l[{j}] = {lj}"
-        )
-    if (dj * lprev) % lj:
-        raise InconsistentTower(
-            f"{tower.name}: d[{j}]*l[{j - 1}] = {dj * lprev} is not a multiple of l[{j}] = {lj}"
-        )
-    return LevelDecomposition(r=dj * lprev // lj, s=lj // lprev, t=lj // dj)
+    return _coefficients(tower.name, j, tower.d_at(j), tower.l_at(j - 1), tower.l_at(j))
+
+
+def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecomposition]:
+    """(r, s, t) at levels 1..count (all levels by default), in one pass.
+
+    Equal to [decompose(tower, j) for j in 1..count], and raises the same
+    InconsistentTower at the first inconsistent level.
+    """
+    count = len(tower) if count is None else count
+    _check_prefix(tower, count)
+    out = []
+    lprev = 1
+    for j, (dj, lj) in enumerate(zip(tower.d[:count], tower.l[:count]), start=1):
+        out.append(_coefficients(tower.name, j, dj, lprev, lj))
+        lprev = lj
+    return out
 
 
 def measure_term(tower: IndexTower, j: int) -> Fraction:
@@ -158,69 +182,59 @@ def measure_term(tower: IndexTower, j: int) -> Fraction:
 
 def ave_terms(tower: IndexTower, terms: int | None = None) -> list[Fraction]:
     """The series terms (s_j - 1)/t_j of the residual average."""
-    count = len(tower) if terms is None else terms
-    _check_prefix(tower, count)
-    out = []
-    for j in range(1, count + 1):
-        dec = decompose(tower, j)
-        out.append(Fraction(dec.s - 1, dec.t))
-    return out
+    return [Fraction(dec.s - 1, dec.t) for dec in levels(tower, terms)]
 
 
 def ave_partial(tower: IndexTower, terms: int) -> Fraction:
-    """Partial residual average: sum of d[j] * measure_term over j <= terms."""
-    return sum(ave_terms(tower, terms), Fraction(0))
+    """Partial residual average: sum of d[j] * measure_term over j <= terms.
+
+    Each term (s_j - 1)/t_j is (s_j - 1) r_j s_j over l[j], so the sum is
+    folded Horner-wise over the single denominator l[terms] and
+    normalized once.
+    """
+    num = 0
+    for dec in levels(tower, terms):
+        num = num * dec.s + (dec.s - 1) * dec.r * dec.s
+    return Fraction(num, tower.l_at(terms))
 
 
 def ave_partial_product_form(tower: IndexTower, terms: int) -> Fraction:
     """Partial residual average via the product-form series.
 
-    Sums r_j (s_j - 1) / (s_1 ... s_{j-1}).  Kept as a separate code
-    path from ave_partial so the two published series can be compared on
-    any tower; with coefficients derived from (d, l) they agree term by
+    Sums r_j (s_j - 1) / (s_1 ... s_{j-1}), folded Horner-wise over the
+    denominator s_1 ... s_{terms-1}.  Kept as a separate code path from
+    ave_partial so the two published series can be compared on any
+    tower; with coefficients derived from (d, l) they agree term by
     term, which the test suite checks rather than assumes.
     """
-    _check_prefix(tower, terms)
-    total = Fraction(0)
-    s_product = 1
-    for j in range(1, terms + 1):
-        dec = decompose(tower, j)
-        total += Fraction(dec.r * (dec.s - 1), s_product)
-        s_product *= dec.s
-    return total
+    num, den, s_prev = 0, 1, 1
+    for dec in levels(tower, terms):
+        num = num * s_prev + dec.r * (dec.s - 1)
+        den *= s_prev
+        s_prev = dec.s
+    return Fraction(num, den)
 
 
 def measure_telescope(tower: IndexTower, terms: int) -> Fraction:
-    """Sum of the first `terms` measure terms (telescopes to 1 - 1/l[J])."""
-    _check_prefix(tower, terms)
-    return sum((measure_term(tower, j) for j in range(1, terms + 1)), Fraction(0))
+    """Sum of the first `terms` measure terms (telescopes to 1 - 1/l[J]).
 
-
-def recursion_check(tower: IndexTower) -> bool:
-    """Check t_{j+1} * r_{j+1} = s_1 ... s_j at every level pair.
-
-    Over exact rationals the two sides coincide identically for any
-    positive index data, so the informative content of the check is the
-    integrality of every coefficient the identity mentions -- exactly
-    what data read off a genuine normal subgroup lattice guarantees.
-    Returns False when some entering coefficient is non-integral.
+    Each measure term is (s_j - 1)/l[j]; folded over the denominator
+    l[terms] like ave_partial.
     """
-    levels = len(tower)
-    for j in range(1, levels):
-        if tower.l_at(j) % tower.l_at(j - 1):
-            return False  # s_j non-integral
-    for j in range(1, levels):
-        lj, lnext, dnext = tower.l_at(j), tower.l_at(j + 1), tower.d_at(j + 1)
-        if lnext % dnext:
-            return False  # t_{j+1} non-integral
-        if (dnext * lj) % lnext:
-            return False  # r_{j+1} non-integral
-        t_next = lnext // dnext
-        r_next = dnext * lj // lnext
-        s_product = lj  # s_1 ... s_j telescopes to l[j]
-        if t_next * r_next != s_product:
-            return False
-    return True
+    num = 0
+    for dec in levels(tower, terms):
+        num = num * dec.s + dec.s - 1
+    return Fraction(num, tower.l_at(terms))
+
+
+def _ratio(low: LevelDecomposition, high: LevelDecomposition) -> tuple[int, int]:
+    """Numerator and denominator of the growth ratio between two levels."""
+    return high.r * (high.s - 1), low.r * low.s * (low.s - 1)
+
+
+def _defined_ratios(decs: list[LevelDecomposition]) -> list[int]:
+    """Levels j < J with s_j >= 2, where alpha_j is defined."""
+    return [j for j in range(1, len(decs)) if decs[j - 1].s != 1]
 
 
 def alpha(tower: IndexTower, j: int) -> Fraction:
@@ -235,22 +249,18 @@ def alpha(tower: IndexTower, j: int) -> Fraction:
     high = decompose(tower, j + 1)
     if low.s == 1:
         raise DegenerateLevel(f"{tower.name}: s_{j} = 1, ratio undefined at level {j}")
-    return Fraction(high.r * (high.s - 1), low.r * low.s * (low.s - 1))
+    return Fraction(*_ratio(low, high))
 
 
 def degenerate_levels(tower: IndexTower) -> list[int]:
     """Levels with s_j = 1 (they add nothing and have no growth ratio)."""
-    return [j for j in range(1, len(tower) + 1) if decompose(tower, j).s == 1]
+    return [j for j, dec in enumerate(levels(tower), start=1) if dec.s == 1]
 
 
 def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
     """All defined (j, alpha_j) pairs, skipping degenerate levels."""
-    out = []
-    for j in range(1, len(tower)):
-        if decompose(tower, j).s == 1:
-            continue
-        out.append((j, alpha(tower, j)))
-    return out
+    decs = levels(tower)
+    return [(j, Fraction(*_ratio(decs[j - 1], decs[j]))) for j in _defined_ratios(decs)]
 
 
 def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
@@ -260,18 +270,24 @@ def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
     every one is > 1, Indeterminate otherwise (including ratios equal to
     1).  A finite window stands in for the eventual behaviour of the
     sequence, so the verdict is a heuristic and is reported as such.
+    Only the window's ratios are formed, and each is compared with 1 as
+    an integer cross-product.
     """
     if window < 1:
         raise ValueError("window must be positive")
-    defined = alphas(tower)
+    decs = levels(tower)
+    defined = _defined_ratios(decs)
     if len(defined) < window:
         raise InsufficientData(
             f"{tower.name}: {len(defined)} defined ratio(s), window of {window} requested"
         )
-    tail = [value for _, value in defined[-window:]]
-    if all(value < 1 for value in tail):
+    signs = set()
+    for j in defined[-window:]:
+        num, den = _ratio(decs[j - 1], decs[j])
+        signs.add((num > den) - (num < den))
+    if signs == {-1}:
         return GrowthClass.SUB_QUADRATIC
-    if all(value > 1 for value in tail):
+    if signs == {1}:
         return GrowthClass.SUPER_QUADRATIC
     return GrowthClass.INDETERMINATE
 
@@ -291,18 +307,25 @@ def is_nested(tower: IndexTower) -> bool:
     return all(tower.l_at(j) == tower.d_at(j) for j in range(1, len(tower) + 1))
 
 
+def _power_pair(delta: Fraction) -> Callable[[int, int], bool]:
+    """The power gap condition a < b < a**(1 + p/q), as b**q < a**(p+q)."""
+    p, q = delta.numerator, delta.denominator
+    return lambda a, b: a < b and b**q < a ** (p + q)
+
+
+def _all_pairs(tower: IndexTower, pair: Callable[[int, int], bool], start: int) -> bool:
+    """pair(d[j], d[j+1]) for every j from `start` on."""
+    if len(tower) < 2:
+        raise ValueError("gap checks need at least two levels")
+    return all(pair(tower.d_at(j), tower.d_at(j + 1)) for j in range(start, len(tower)))
+
+
 def gap_check_linear(tower: IndexTower, c: RationalLike, start: int = 1) -> bool:
     """Check d[j] < d[j+1] <= c * d[j] for every pair from `start` on."""
     c = as_fraction(c)
     if c <= 1:
         raise ValueError(f"linear gap constant must exceed 1, got {c}")
-    if len(tower) < 2:
-        raise ValueError("gap checks need at least two levels")
-    for j in range(start, len(tower)):
-        a, b = tower.d_at(j), tower.d_at(j + 1)
-        if not (a < b and b * c.denominator <= a * c.numerator):
-            return False
-    return True
+    return _all_pairs(tower, lambda a, b: a < b and b * c.denominator <= a * c.numerator, start)
 
 
 def gap_check_power(tower: IndexTower, delta: RationalLike, start: int = 1) -> bool:
@@ -314,55 +337,31 @@ def gap_check_power(tower: IndexTower, delta: RationalLike, start: int = 1) -> b
     delta = as_fraction(delta)
     if delta <= 0:
         raise ValueError(f"power gap exponent must be positive, got {delta}")
-    if len(tower) < 2:
-        raise ValueError("gap checks need at least two levels")
-    p, q = delta.numerator, delta.denominator
-    for j in range(start, len(tower)):
-        a, b = tower.d_at(j), tower.d_at(j + 1)
-        if not (a < b and b**q < a ** (p + q)):
-            return False
-    return True
-
-
-def first_linear_gap_index(tower: IndexTower, c: RationalLike) -> int:
-    """Smallest j* such that the linear gap condition holds for all j >= j*.
-
-    Returns len(tower) when even the last pair fails (the condition is
-    then vacuous).  Early exceptions are reported this way rather than
-    silently dropped.
-    """
-    c = as_fraction(c)
-    start = len(tower)
-    for j in range(len(tower) - 1, 0, -1):
-        a, b = tower.d_at(j), tower.d_at(j + 1)
-        if a < b and b * c.denominator <= a * c.numerator:
-            start = j
-        else:
-            break
-    return start
+    return _all_pairs(tower, _power_pair(delta), start)
 
 
 def first_power_gap_index(tower: IndexTower, delta: RationalLike) -> int:
-    """Smallest j* such that the power gap condition holds for all j >= j*."""
-    delta = as_fraction(delta)
-    p, q = delta.numerator, delta.denominator
+    """Smallest j* such that the power gap condition holds for all j >= j*.
+
+    Returns len(tower) when even the last pair fails (the condition is
+    then vacuous).
+    """
+    pair = _power_pair(as_fraction(delta))
     start = len(tower)
-    for j in range(len(tower) - 1, 0, -1):
-        a, b = tower.d_at(j), tower.d_at(j + 1)
-        if a < b and b**q < a ** (p + q):
-            start = j
-        else:
-            break
+    while start > 1 and pair(tower.d_at(start - 1), tower.d_at(start)):
+        start -= 1
     return start
 
 
 def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
     """Float partial sum of the index zeta series: sum of i**(-s).
 
-    Sums over the `terms` smallest distinct indices with math.fsum, so
-    the result carries one rounding per term plus the final rounding;
-    for the exponents and index counts used here that is ~1e-15
-    relative.  `terms` is capped at the number of distinct indices.
+    Sums over the `terms` smallest distinct indices with math.fsum.  Each
+    term is exp(-s*log(i)), good to about s*ln(i) units in the last
+    place, so for the exponents and index sizes used here the sum is
+    good to ~1e-14 relative.  Indices past the float range (math.log
+    takes ints of any size) give terms that underflow to 0.  `terms` is
+    capped at the number of distinct indices.
     """
     exponent = float(s) if isinstance(s, float) else float(as_fraction(s))
     if exponent <= 0:
@@ -372,7 +371,7 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
     pool = sorted({int(i) for i in indices})
     if pool and pool[0] < 1:
         raise ValueError("indices must be positive")
-    return math.fsum(i ** (-exponent) for i in pool[:terms])
+    return math.fsum(math.exp(-exponent * math.log(i)) for i in pool[:terms])
 
 
 def running_product(values: Sequence[int]) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_moduli_tower
 from resavg.cli import (
     decimal_str,
     main,
@@ -13,6 +16,7 @@ from resavg.cli import (
 )
 from resavg.errors import SchemaError
 from resavg.integers import tower_primes
+from resavg.tower import IndexTower
 
 
 def run(capsys, *argv):
@@ -206,12 +210,23 @@ class TestTowerFileCommands:
         code, report = run_json(capsys, "zeta", "--tower", tower_file, "--s", "2", "--terms", "2", "--quiet")
         assert abs(report["value"] - (1 / 4 + 1 / 9)) < 1e-15
 
+    def test_zeta_on_indices_past_the_float_range(self, capsys, tmp_path):
+        # d[j] = 120 * 125**(j-1) passes the float range at level 147
+        path = str(tmp_path / "slzp.json")
+        code, _ = run(capsys, "slzp", "--n", "2", "--p", "5", "--levels", "200", "--out", path)
+        assert code == 0
+        code, report = run_json(capsys, "zeta", "--tower", path, "--s", "2", "--quiet")
+        assert code == 0
+        expected = math.fsum(float(Fraction(1, 120 * 125 ** (j - 1)) ** 2) for j in range(1, 201))
+        assert math.isclose(report["value"], expected, rel_tol=1e-12)
+
     def test_tower_check_consistent(self, capsys, tower_file):
         code, report = run_json(capsys, "tower-check", "--tower", tower_file, "--quiet")
         assert code == 0
         assert report["consistent"] is True
         assert report["prime_system"] is True
-        assert report["recursion_check"] is True
+        assert report["first_inconsistent_level"] is None
+        assert "recursion_check" not in report
 
     def test_tower_check_reports_inconsistency(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -253,6 +268,34 @@ class TestTowerFileCommands:
         )
         assert code == 0
         assert read_tower(path).d == (6, 24, 120)
+
+
+class TestTowerCheckConsistency:
+    """tower-check's consistent / first_inconsistent_level on lattice data."""
+
+    def check(self, capsys, tmp_path, t):
+        path = tmp_path / "tower.json"
+        write_tower(t, path)
+        code, report = run_json(capsys, "tower-check", "--tower", str(path), "--quiet")
+        assert code == 0
+        assert report["consistent"] is (report["first_inconsistent_level"] is None)
+        return report["first_inconsistent_level"]
+
+    def test_examples(self, capsys, tmp_path):
+        assert self.check(capsys, tmp_path, tower_primes(3)) is None
+        assert self.check(capsys, tmp_path, IndexTower("rep", (2, 2), (2, 2))) is None
+        # l[1] = 2 does not divide l[2] = 3
+        assert self.check(capsys, tmp_path, IndexTower("overlap", (2, 3), (2, 3))) == 2
+
+    def test_non_lattice_data_fails(self, capsys, tmp_path):
+        assert self.check(capsys, tmp_path, IndexTower("broken", (2, 3), (2, 4))) == 2
+        # d[1] = 2 does not divide l[1] = 3
+        assert self.check(capsys, tmp_path, IndexTower("x", (2,), (3,))) == 1
+
+    def test_genuine_intersection_lattices_are_consistent(self, capsys, tmp_path):
+        rng = random.Random(47)
+        for _ in range(300):
+            assert self.check(capsys, tmp_path, random_moduli_tower(rng)) is None
 
 
 class TestSelectPowersCommand:

@@ -1,0 +1,177 @@
+"""The one-pass coefficient core against the formulas it replaced.
+
+levels() and the single-denominator folds over it are fast paths.  The
+oracles here are the earlier per-level code: decompose with the
+big-by-big remainder (d*l[j-1]) % l[j], and series summed one Fraction
+term at a time.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resavg.errors import InconsistentTower, InsufficientData
+from resavg.tower import (
+    GrowthClass,
+    IndexTower,
+    LevelDecomposition,
+    alphas,
+    ave_partial,
+    ave_partial_product_form,
+    ave_terms,
+    classify,
+    decompose,
+    degenerate_levels,
+    levels,
+    measure_telescope,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def oracle_decompose(t: IndexTower, j: int) -> LevelDecomposition:
+    dj, lj, lprev = t.d_at(j), t.l_at(j), t.l_at(j - 1)
+    if lj % lprev:
+        raise InconsistentTower(f"{t.name}: l[{j - 1}] = {lprev} does not divide l[{j}] = {lj}")
+    if lj % dj:
+        raise InconsistentTower(f"{t.name}: d[{j}] = {dj} does not divide l[{j}] = {lj}")
+    if (dj * lprev) % lj:
+        raise InconsistentTower(
+            f"{t.name}: d[{j}]*l[{j - 1}] = {dj * lprev} is not a multiple of l[{j}] = {lj}"
+        )
+    return LevelDecomposition(r=dj * lprev // lj, s=lj // lprev, t=lj // dj)
+
+
+def oracle_levels(t: IndexTower, count: int) -> list[LevelDecomposition]:
+    return [oracle_decompose(t, j) for j in range(1, count + 1)]
+
+
+def oracle_ave_partial(decs) -> Fraction:
+    return sum((Fraction(dec.s - 1, dec.t) for dec in decs), Fraction(0))
+
+
+def oracle_product_form(decs) -> Fraction:
+    total, s_product = Fraction(0), 1
+    for dec in decs:
+        total += Fraction(dec.r * (dec.s - 1), s_product)
+        s_product *= dec.s
+    return total
+
+
+def oracle_alphas(decs) -> list[tuple[int, Fraction]]:
+    return [
+        (j, Fraction(high.r * (high.s - 1), low.r * low.s * (low.s - 1)))
+        for j, (low, high) in enumerate(zip(decs, decs[1:]), start=1)
+        if low.s != 1
+    ]
+
+
+def verdict(ratios: list[Fraction], window: int) -> GrowthClass:
+    if len(ratios) < window:
+        raise InsufficientData
+    tail = ratios[-window:]
+    if all(value < 1 for value in tail):
+        return GrowthClass.SUB_QUADRATIC
+    if all(value > 1 for value in tail):
+        return GrowthClass.SUPER_QUADRATIC
+    return GrowthClass.INDETERMINATE
+
+
+def outcome(thunk):
+    """The value of thunk(), or the type and message of what it raised."""
+    try:
+        return thunk()
+    except (InconsistentTower, InsufficientData) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@st.composite
+def consistent_towers(draw) -> IndexTower:
+    """Level by level: s_j, then r_j a sub-product of s_1 ... s_{j-1}."""
+    top = draw(st.sampled_from((12, 2**70)))
+    steps = draw(st.lists(st.integers(1, top), min_size=1, max_size=10))
+    steps[0] = max(steps[0], 2)
+    d: list[int] = []
+    l: list[int] = []
+    for j, s in enumerate(steps):
+        keep = draw(st.lists(st.booleans(), min_size=j, max_size=j))
+        r = math.prod(f for f, k in zip(steps, keep) if k)
+        lprev = l[-1] if l else 1
+        # r = l[j-1] makes d[j] = l[j] >= l[j-1] >= d[j-1], so d stays sorted
+        d.append(r * s if r * s >= max(2, d[-1] if d else 2) else lprev * s)
+        l.append(lprev * s)
+    return IndexTower("consistent", tuple(d), tuple(l))
+
+
+@st.composite
+def broken_towers(draw) -> IndexTower:
+    """A consistent tower with one l entry moved, or unrelated random data."""
+    if draw(st.booleans()):
+        t = draw(consistent_towers())
+        i = draw(st.integers(0, len(t) - 1))
+        l = list(t.l)
+        l[i] += draw(st.integers(1, 3))
+        return IndexTower("moved", t.d, tuple(l))
+    d = sorted(draw(st.lists(st.integers(2, 400), min_size=1, max_size=8)))
+    l = draw(st.lists(st.integers(1, 10**4), min_size=len(d), max_size=len(d)))
+    return IndexTower("random", tuple(d), tuple(l))
+
+
+any_tower = st.one_of(consistent_towers(), broken_towers())
+
+
+@PROPERTY
+@given(any_tower)
+def test_levels_match_the_remainder_formula(t):
+    for count in range(len(t) + 1):
+        assert outcome(lambda: levels(t, count)) == outcome(lambda: oracle_levels(t, count))
+    for j in range(1, len(t) + 1):
+        assert outcome(lambda: decompose(t, j)) == outcome(lambda: oracle_decompose(t, j))
+
+
+@PROPERTY
+@given(any_tower)
+def test_broken_towers_fail_alike_in_every_fold(t):
+    expected = outcome(lambda: oracle_levels(t, len(t)))
+    if isinstance(expected, list):
+        return
+    folds = (
+        lambda: ave_partial(t, len(t)),
+        lambda: ave_partial_product_form(t, len(t)),
+        lambda: measure_telescope(t, len(t)),
+        lambda: ave_terms(t),
+        lambda: alphas(t),
+        lambda: degenerate_levels(t),
+        lambda: classify(t, window=1),
+    )
+    for fold in folds:
+        assert outcome(fold) == expected
+
+
+@PROPERTY
+@given(consistent_towers())
+def test_series_match_per_term_sums(t):
+    for terms in range(len(t) + 1):
+        decs = oracle_levels(t, terms)
+        assert ave_partial(t, terms) == oracle_ave_partial(decs)
+        assert ave_partial_product_form(t, terms) == oracle_product_form(decs)
+        assert measure_telescope(t, terms) == 1 - Fraction(1, t.l_at(terms))
+        assert ave_terms(t, terms) == [Fraction(dec.s - 1, dec.t) for dec in decs]
+
+
+@PROPERTY
+@given(consistent_towers())
+def test_classify_is_the_verdict_of_alphas(t):
+    decs = oracle_levels(t, len(t))
+    assert alphas(t) == oracle_alphas(decs)
+    assert degenerate_levels(t) == [j for j, dec in enumerate(decs, start=1) if dec.s == 1]
+    ratios = [value for _, value in alphas(t)]
+    for window in range(1, len(t) + 1):
+        got = outcome(lambda: classify(t, window=window))
+        want = outcome(lambda: verdict(ratios, window))
+        if isinstance(want, tuple):
+            assert got[0] == want[0]
+        else:
+            assert got is want

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (
     random_consistent_tower,
-    random_moduli_tower,
     random_nested_tower,
     random_prime_tower,
 )
@@ -29,7 +28,6 @@ from resavg.tower import (
     is_prime_system,
     measure_telescope,
     measure_term,
-    recursion_check,
     running_product,
     zeta_partial,
 )
@@ -143,22 +141,6 @@ class TestProductForm:
             assert ave_partial_product_form(t, len(t)) == ave_partial(t, len(t))
 
 
-class TestRecursionCheck:
-    def test_examples(self):
-        assert recursion_check(PZ3) is True
-        assert recursion_check(IndexTower("rep", (2, 2), (2, 2))) is True
-        assert recursion_check(IndexTower("overlap", (2, 3), (2, 3))) is True
-
-    def test_non_lattice_data_fails(self):
-        assert recursion_check(IndexTower("broken", (2, 3), (2, 4))) is False
-
-    def test_true_on_genuine_intersection_lattices(self):
-        rng = random.Random(47)
-        for _ in range(300):
-            t = random_moduli_tower(rng)
-            assert recursion_check(t) is True
-
-
 class TestAlpha:
     def test_prime_tower(self):
         assert alpha(PZ3, 2) == Fraction(2, 3)
@@ -195,6 +177,13 @@ class TestClassify:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             classify(PZ3, window=10)
+
+    def test_inconsistency_is_reported_before_the_window(self):
+        # every level is checked, including one that forms no ratio
+        with pytest.raises(InconsistentTower):
+            classify(IndexTower("x", (2,), (3,)), window=2)
+        with pytest.raises(InconsistentTower):
+            classify(IndexTower("tail", (2, 2, 3), (2, 2, 4)), window=1)
 
     def test_degenerate_levels_are_skipped(self):
         t = IndexTower("deg", (2, 2, 4, 8, 16), (2, 2, 8, 32, 128))
@@ -297,6 +286,10 @@ class TestZetaPartial:
 
     def test_single_index(self):
         assert zeta_partial([2], 1, 1) == 0.5
+
+    def test_indices_past_the_float_range_underflow(self):
+        assert zeta_partial([5**600], 2, 1) == 0.0
+        assert zeta_partial([2, 5**600], 1, 2) == 0.5
 
     def test_matrix_group_orders(self):
         orders = [6, 24, 120, 336, 1320]
