@@ -46,7 +46,7 @@ class BoundExceeded(ResavgError):
 
 
 class LevelTooDeep(ResavgError):
-    """Tree-level enumeration past the configured feasibility bound."""
+    """Tree level past the configured bound of the level-quotient computation."""
 
 
 class InsufficientLevels(ResavgError):

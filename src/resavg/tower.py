@@ -42,6 +42,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _show(n: int) -> str:
+    """n in decimal, or its bit length where CPython's int->str limit refuses it."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class IndexTower:
     """Immutable index data of a residual system.
@@ -69,14 +77,15 @@ class IndexTower:
             raise ValueError("a tower needs at least one level")
         for j, dj in enumerate(self.d, start=1):
             if dj < 2:
-                raise ValueError(f"d[{j}] = {dj}: subgroup indices must be at least 2")
+                raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
         for j, lj in enumerate(self.l, start=1):
             if lj < 1:
-                raise ValueError(f"l[{j}] = {lj}: intersection indices must be positive")
+                raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
         for j in range(1, len(self.d)):
             if self.d[j] < self.d[j - 1]:
                 raise ValueError(
-                    f"d must be non-decreasing: d[{j}] = {self.d[j - 1]} > d[{j + 1}] = {self.d[j]}"
+                    f"d must be non-decreasing: "
+                    f"d[{j}] = {_show(self.d[j - 1])} > d[{j + 1}] = {_show(self.d[j])}"
                 )
 
     def __len__(self) -> int:
@@ -131,14 +140,19 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
     """
     s, rem = divmod(lj, lprev)
     if rem:
-        raise InconsistentTower(f"{name}: l[{j - 1}] = {lprev} does not divide l[{j}] = {lj}")
+        raise InconsistentTower(
+            f"{name}: l[{j - 1}] = {_show(lprev)} does not divide l[{j}] = {_show(lj)}"
+        )
     t, rem = divmod(lj, dj)
     if rem:
-        raise InconsistentTower(f"{name}: d[{j}] = {dj} does not divide l[{j}] = {lj}")
+        raise InconsistentTower(
+            f"{name}: d[{j}] = {_show(dj)} does not divide l[{j}] = {_show(lj)}"
+        )
     r, rem = divmod(dj, s)
     if rem:
         raise InconsistentTower(
-            f"{name}: d[{j}]*l[{j - 1}] = {dj * lprev} is not a multiple of l[{j}] = {lj}"
+            f"{name}: d[{j}]*l[{j - 1}] = {_show(dj * lprev)} "
+            f"is not a multiple of l[{j}] = {_show(lj)}"
         )
     return LevelDecomposition(r=r, s=s, t=t)
 

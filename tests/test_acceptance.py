@@ -156,8 +156,7 @@ def test_c08_nested_divergence():
     for j in range(1, 5):
         assert ave_partial(grig4, j) >= j
     assert ave_partial(grig4, 4) == 50
-    # the enumeration bound allows one more level, which pushes the
-    # tree-group partial sum itself past 100
+    # one more level pushes the tree-group partial sum itself past 100
     assert level_quotient_order(5).order == 4194304
     grig5 = grig_tower(5)
     assert all(decompose(grig5, j).t == 1 for j in range(1, 6))

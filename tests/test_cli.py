@@ -148,6 +148,23 @@ class TestSubcommands:
         assert report["results"]["d1_series"][0]["exact"] == "127/128"
         assert any("non-increasing" in w for w in report["warnings"])
 
+    def test_grig_level_six(self, capsys):
+        code, report = run_json(capsys, "grig", "--levels", "6", "--d1-series")
+        assert code == 0
+        orders = [2, 8, 2**7, 2**12, 2**22, 2**42]
+        assert report["results"]["tower"]["d"] == [str(o) for o in orders]
+        assert [term["exact"] for term in report["results"]["d1_series"]] == [
+            "127/128",
+            "31/2048",
+            "1023/524288",
+            "1048575/34359738368",
+        ]
+
+    def test_grig_past_the_level_bound(self, capsys):
+        code, report = run_json(capsys, "grig", "--levels", "7")
+        assert code == 1
+        assert report["error"]["type"] == "LevelTooDeep"
+
     def test_slzp(self, capsys):
         code, report = run_json(capsys, "slzp", "--n", "2", "--p", "2", "--levels", "3", "--quiet")
         assert code == 0

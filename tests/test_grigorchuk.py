@@ -1,12 +1,16 @@
-import os
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resavg.errors import InsufficientLevels, LevelTooDeep
 from resavg.grigorchuk import (
     GENERATORS,
+    MAX_LEVEL,
     TreeAutomorphism,
+    _chain_order,
     d1_series_terms,
     grig_tower,
     level_action,
@@ -20,9 +24,54 @@ from resavg.tower import ave_partial, decompose, is_nested
 GOLDEN_ORDERS = (2, 8, 128, 4096)
 LEVEL5_ORDER = 4194304
 
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
 
 def identity(level):
     return tuple(range(1 << level))
+
+
+def closure_order(perms):
+    """Size of the group generated by `perms`, by storing every element.
+
+    The breadth-first closure the stabilizer chain replaced, kept as its
+    oracle.  Permutations are stored as bytes; composing through
+    bytes.translate keeps the inner loop in C.
+    """
+    size = len(perms[0])
+    pad = bytes(range(256))
+    tables = [bytes(p) + pad[size:] for p in perms]
+    identity = pad[:size]
+    seen = {identity}
+    queue = [identity]
+    head = 0
+    while head < len(queue):
+        current = queue[head]
+        head += 1
+        for table in tables:
+            image = current.translate(table)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return len(seen)
+
+
+def closed_form_order(level):
+    """|G/St(n)| = 2^(5*2^(n-3)+2) for n >= 3 (de la Harpe, ch. VIII)."""
+    return (2, 8)[level - 1] if level < 3 else 2 ** (5 * 2 ** (level - 3) + 2)
+
+
+def level_generators(level):
+    return [level_action(g, level) for g in GENERATORS]
+
+
+def perm(degree, *cycles):
+    """The permutation of range(degree) with the given disjoint cycles."""
+    images = list(range(degree))
+    for points in map(list, cycles):
+        for x, y in zip(points, points[1:] + points[:1]):
+            images[x] = y
+    return tuple(images)
 
 
 class TestLevelAction:
@@ -71,13 +120,73 @@ class TestLevelQuotients:
 
     def test_depth_guard(self):
         with pytest.raises(LevelTooDeep):
-            level_quotient_order(6)
+            level_quotient_order(MAX_LEVEL + 1)
 
-    @pytest.mark.skipif(
-        not os.environ.get("RESAVG_DEEP"), reason="level-5 closure takes a while; set RESAVG_DEEP=1"
-    )
     def test_level_five_order(self):
         assert level_quotient_order(5).order == LEVEL5_ORDER
+
+
+class TestChainOracles:
+    """The stabilizer chain against the closure, the closed form and sympy."""
+
+    @pytest.mark.parametrize("level", range(1, 5))
+    def test_matches_closure(self, level):
+        perms = level_generators(level)
+        assert _chain_order(perms) == closure_order(perms) == GOLDEN_ORDERS[level - 1]
+
+    @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
+    def test_matches_closed_form(self, level):
+        assert level_quotient_order(level).order == closed_form_order(level)
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_matches_sympy(self, level):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p)) for p in level_generators(level)]
+        )
+        assert _chain_order(level_generators(level)) == group.order()
+
+
+class TestChainOnKnownGroups:
+    @pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)])
+    def test_symmetric(self, n, order):
+        # an n-cycle and the transposition (0 1); both are the identity at n = 1
+        perms = [perm(n, range(n)), perm(n, range(min(n, 2)))]
+        assert _chain_order(perms) == closure_order(perms) == order
+
+    def test_symmetric_from_all_transpositions(self):
+        perms = [perm(6, pair) for pair in itertools.combinations(range(6), 2)]
+        assert _chain_order(perms) == 720
+
+    def test_cyclic(self):
+        assert _chain_order([perm(12, range(12))]) == 12
+        # disjoint 4- and 6-cycles generate a cyclic group of order lcm(4, 6)
+        assert _chain_order([perm(10, range(4), range(4, 10))]) == 12
+
+    def test_dihedral(self):
+        for n in range(3, 9):
+            rotation = perm(n, range(n))
+            reflection = tuple((-x) % n for x in range(n))
+            assert _chain_order([rotation, reflection]) == 2 * n
+
+    def test_trivial(self):
+        assert _chain_order([]) == 1
+        assert _chain_order([perm(4)]) == 1
+        assert _chain_order([perm(3), perm(3)]) == 1
+
+    def test_generator_order_and_duplicates_do_not_matter(self):
+        perms = level_generators(4)
+        assert _chain_order(perms[::-1] + perms) == GOLDEN_ORDERS[3]
+
+    @PROPERTY
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    )
+    def test_random_groups_match_closure(self, perms):
+        perms = [tuple(p) for p in perms]
+        assert _chain_order(perms) == closure_order(perms)
 
 
 class TestGrigTower:

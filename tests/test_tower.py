@@ -26,6 +26,7 @@ from resavg.tower import (
     gap_check_power,
     is_nested,
     is_prime_system,
+    levels,
     measure_telescope,
     measure_term,
     running_product,
@@ -46,6 +47,18 @@ class TestConstruction:
             IndexTower("bad", (3, 2), (3, 6))
         with pytest.raises(ValueError):
             IndexTower("bad", (), ())
+
+    def test_messages_past_the_int_str_limit(self):
+        big = 10**5000
+        cases = [
+            ((big, 2), (big, 2), "d must be non-decreasing: d[1] = <int of 16610 bits> > d[2] = 2"),
+            ((-big,), (2,), "d[1] = -<int of 16610 bits>: subgroup indices must be at least 2"),
+            ((2,), (-big,), "l[1] = -<int of 16610 bits>: intersection indices must be positive"),
+        ]
+        for d, l, message in cases:
+            with pytest.raises(ValueError) as info:
+                IndexTower("big", d, l)
+            assert str(info.value) == message
 
     def test_divisibility_is_lazy(self):
         # constructible on purpose; the inconsistency surfaces in decompose
@@ -74,6 +87,32 @@ class TestDecompose:
                 dec = decompose(t, j)
                 assert dec.r * dec.s == t.d_at(j)
                 assert dec.r * dec.s * dec.t == t.l_at(j)
+
+    def test_indices_past_the_int_str_limit(self):
+        # CPython refuses str() on ints over 4300 digits; the messages must
+        # still raise InconsistentTower, naming such indices by bit length
+        big = 10**5000
+        shown = "<int of 16610 bits>"
+        cases = [
+            ((2, 3), (2, big), f"d[2] = 3 does not divide l[2] = {shown}"),
+            ((3, 4), (3, big), f"l[1] = 3 does not divide l[2] = {shown}"),
+            (
+                (2, big),
+                (2, 6 * big),
+                "d[2]*l[1] = <int of 16611 bits> is not a multiple of l[2] = <int of 16613 bits>",
+            ),
+        ]
+        for d, l, message in cases:
+            t = IndexTower("big", d, l)
+            for call in (lambda: levels(t), lambda: decompose(t, 2)):
+                with pytest.raises(InconsistentTower) as info:
+                    call()
+                assert str(info.value) == f"big: {message}"
+
+    def test_messages_keep_decimal_indices(self):
+        with pytest.raises(InconsistentTower) as info:
+            levels(IndexTower("x", (2, 3), (2, 10**4000)))
+        assert str(info.value) == f"x: d[2] = 3 does not divide l[2] = {10**4000}"
 
 
 class TestMeasureTerm:
