@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +27,9 @@ from .errors import ResavgError, SchemaError
 from .tower import IndexTower, as_fraction
 
 SCHEMA = "resavg.report/1"
+
+# Output flags: accepted before and after the subcommand, never report parameters.
+OUTPUT_DEFAULTS = {"digits": 10, "json": False, "csv": False, "quiet": False}
 
 
 def decimal_str(value: Fraction | int, digits: int = 10) -> str:
@@ -65,6 +67,12 @@ def _parse_big_int(raw: Any, where: str) -> int:
     raise SchemaError(f"{where}: expected a decimal integer string, got {raw!r}")
 
 
+def _parse_int_list(raw: Any, where: str) -> tuple[int, ...]:
+    if not isinstance(raw, list):
+        raise SchemaError(f"field '{where}': expected a list")
+    return tuple(_parse_big_int(x, f"field '{where}[{i}]'") for i, x in enumerate(raw, start=1))
+
+
 def tower_from_json(obj: Any) -> IndexTower:
     """Parse the tower interchange object, with field-level diagnostics."""
     if not isinstance(obj, dict):
@@ -75,29 +83,29 @@ def tower_from_json(obj: Any) -> IndexTower:
     name = obj["name"]
     if not isinstance(name, str):
         raise SchemaError("field 'name': expected a string")
-    for key in ("d", "l"):
-        if not isinstance(obj[key], list):
-            raise SchemaError(f"field '{key}': expected a list")
-    d = [_parse_big_int(x, f"field 'd[{i + 1}]'") for i, x in enumerate(obj["d"])]
-    l = [_parse_big_int(x, f"field 'l[{i + 1}]'") for i, x in enumerate(obj["l"])]
+    d = _parse_int_list(obj["d"], "d")
+    l = _parse_int_list(obj["l"], "l")
     if len(d) != len(l):
         raise SchemaError(f"field 'l': length {len(l)} does not match 'd' length {len(d)}")
     try:
-        return IndexTower(name=name, d=tuple(d), l=tuple(l))
+        return IndexTower(name=name, d=d, l=l)
     except ValueError as exc:
         raise SchemaError(f"tower violates an index invariant: {exc}") from exc
 
 
-def read_tower(path: str | Path) -> IndexTower:
+def _read_json(path: str | Path, what: str) -> Any:
     try:
         payload = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SchemaError(f"cannot read tower file {path}: {exc}") from exc
+        raise SchemaError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        obj = json.loads(payload)
+        return json.loads(payload)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    return tower_from_json(obj)
+
+
+def read_tower(path: str | Path) -> IndexTower:
+    return tower_from_json(_read_json(path, "tower"))
 
 
 def write_tower(t: IndexTower, path: str | Path) -> None:
@@ -112,34 +120,18 @@ def ell_table_from_json(obj: Any, n: int) -> linear.EllTable:
     missing = {"primes", "ell", "O"} - set(obj)
     if missing:
         raise SchemaError(f"table object missing field(s): {sorted(missing)}")
+    rows = obj["ell"]
+    if not isinstance(rows, list):
+        raise SchemaError("field 'ell': expected a list")
     try:
         return linear.EllTable(
             n=n,
-            primes=tuple(int(p) for p in obj["primes"]),
-            rows=tuple(tuple(int(e) for e in row) for row in obj["ell"]),
-            orders=tuple(int(o) for o in obj["O"]),
+            primes=_parse_int_list(obj["primes"], "primes"),
+            rows=tuple(_parse_int_list(row, f"ell[{i}]") for i, row in enumerate(rows, start=1)),
+            orders=_parse_int_list(obj["O"], "O"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"table violates the exponent-table schema: {exc}") from exc
-
-
-@dataclass
-class RunReport:
-    """Self-describing result of one CLI invocation."""
-
-    command: str
-    parameters: dict[str, Any]
-    results: dict[str, Any]
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "warnings": self.warnings,
-        }
 
 
 def tower_table_rows(t: IndexTower) -> list[dict[str, Any]]:
@@ -169,18 +161,6 @@ def tower_table_rows(t: IndexTower) -> list[dict[str, Any]]:
 CSV_COLUMNS = ("j", "d", "l", "r", "s", "t", "term_num", "term_den", "partial_num", "partial_den")
 
 
-def _emit(report: RunReport, args: argparse.Namespace, table_tower: IndexTower | None) -> None:
-    if getattr(args, "csv", False):
-        if table_tower is None:
-            raise ValueError("--csv applies only to commands that carry a tower table")
-        print(",".join(CSV_COLUMNS))
-        for row in tower_table_rows(table_tower):
-            print(",".join(str(row[c]) for c in CSV_COLUMNS))
-        return
-    payload: Any = report.results if getattr(args, "quiet", False) else report.to_json()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _degenerate_warnings(t: IndexTower) -> list[str]:
     levels = tower.degenerate_levels(t)
     if not levels:
@@ -189,7 +169,7 @@ def _degenerate_warnings(t: IndexTower) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, warnings, tower-for-csv)
+# subcommand handlers: each returns (results, warnings, tower for --csv and --out)
 
 Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], list[str], IndexTower | None]]
 
@@ -276,9 +256,6 @@ def _cmd_sl_tower(args) -> tuple[dict, list, IndexTower]:
         verdict = tower.classify(t, window=args.window)
         results["classification"] = verdict.value
         results["window"] = args.window
-    if args.out:
-        write_tower(t, args.out)
-        results["written"] = str(args.out)
     return results, warnings, t
 
 
@@ -310,13 +287,7 @@ def _cmd_matdiv(args) -> tuple[dict, list, None]:
 
 
 def _cmd_select_powers(args) -> tuple[dict, list, IndexTower | None]:
-    try:
-        obj = json.loads(Path(args.table).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read table file {args.table}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{args.table}: invalid JSON: {exc.msg}") from exc
-    table = ell_table_from_json(obj, args.n)
+    table = ell_table_from_json(_read_json(args.table, "table"), args.n)
     epsilon = args.epsilon if args.epsilon is not None else args.delta / 2
     params = linear.PowerSelectionParams(
         n=args.n, N=args.N0, C=args.C, delta=args.delta, epsilon=epsilon
@@ -353,13 +324,17 @@ def _cmd_wieferich(args) -> tuple[dict, list, None]:
     )
 
 
-def _cmd_grig(args) -> tuple[dict, list, IndexTower]:
-    t = grigorchuk.grig_tower(args.levels)
-    results: dict[str, Any] = {
+def _nested_results(t: IndexTower, digits: int) -> dict[str, Any]:
+    return {
         "tower": tower_to_json(t),
         "nested": tower.is_nested(t),
-        "ave_partial": rational_json(tower.ave_partial(t, len(t)), args.digits),
+        "ave_partial": rational_json(tower.ave_partial(t, len(t)), digits),
     }
+
+
+def _cmd_grig(args) -> tuple[dict, list, IndexTower]:
+    t = grigorchuk.grig_tower(args.levels)
+    results = _nested_results(t, args.digits)
     warnings: list[str] = []
     if args.d1_series:
         terms = grigorchuk.d1_series_terms(t.d, max(0, args.levels - 3))
@@ -370,23 +345,12 @@ def _cmd_grig(args) -> tuple[dict, list, IndexTower]:
                 "d1 series terms are non-increasing over the computed range; "
                 "no claim is made about their limit"
             )
-    if args.out:
-        write_tower(t, args.out)
-        results["written"] = str(args.out)
     return results, warnings, t
 
 
 def _cmd_slzp(args) -> tuple[dict, list, IndexTower]:
     t = grigorchuk.slnzp_tower(args.n, args.p, args.levels)
-    results = {
-        "tower": tower_to_json(t),
-        "nested": tower.is_nested(t),
-        "ave_partial": rational_json(tower.ave_partial(t, len(t)), args.digits),
-    }
-    if args.out:
-        write_tower(t, args.out)
-        results["written"] = str(args.out)
-    return results, [], t
+    return _nested_results(t, args.digits), [], t
 
 
 def _cmd_classify(args) -> tuple[dict, list, IndexTower]:
@@ -475,10 +439,6 @@ def _cmd_tower_check(args) -> tuple[dict, list, IndexTower | None]:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_arg(text: str) -> Fraction:
-    return as_fraction(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # The output flags are accepted both before and after the subcommand;
     # SUPPRESS keeps a later subparser from resetting a value parsed earlier.
@@ -553,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N0", type=int, required=True, dest="N0")
     p.add_argument("--C", type=int, required=True)
-    p.add_argument("--delta", type=_fraction_arg, required=True)
-    p.add_argument("--epsilon", type=_fraction_arg)
+    p.add_argument("--delta", type=as_fraction, required=True)
+    p.add_argument("--epsilon", type=as_fraction)
     p.add_argument("--terms", type=int)
     p.add_argument("--emit-tower", action="store_true", dest="emit_tower")
 
@@ -584,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zeta", _cmd_zeta, "partial index zeta sum of a tower or explicit index set")
     p.add_argument("--tower")
     p.add_argument("--indices", help="comma-separated distinct indices")
-    p.add_argument("--s", type=_fraction_arg, required=True)
+    p.add_argument("--s", type=as_fraction, required=True)
     p.add_argument("--terms", type=int)
 
     p = add("tower-check", _cmd_tower_check, "consistency and structure report for a tower file")
@@ -594,13 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parameters(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"handler", "command", "digits", "json", "csv", "quiet"}
+    skip = {"handler", "command", *OUTPUT_DEFAULTS}
     out = {}
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
         out[key] = str(value) if isinstance(value, Fraction) else value
     return out
+
+
+def _print_json(payload: Any) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -611,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     # The output flags live in a shared parent with SUPPRESS defaults so a
     # subcommand parse cannot reset values given before it; fill them here.
-    for key, fallback in (("digits", 10), ("json", False), ("csv", False), ("quiet", False)):
+    for key, fallback in OUTPUT_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, fallback)
     if args.digits < 1:
@@ -620,39 +584,35 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         results, warnings, table_tower = args.handler(args)
-        report = RunReport(
-            command=args.command,
-            parameters=_parameters(args),
-            results=results,
-            warnings=warnings,
-        )
-        _emit(report, args, table_tower)
-    except ResavgError as exc:
-        print(
-            json.dumps(
+        if getattr(args, "out", None):
+            try:
+                write_tower(table_tower, args.out)
+            except OSError as exc:
+                raise SchemaError(f"cannot write tower file {args.out}: {exc}") from exc
+            results["written"] = str(args.out)
+        if args.csv:
+            if table_tower is None:
+                raise ValueError("--csv applies only to commands that carry a tower table")
+            print(",".join(CSV_COLUMNS))
+            for row in tower_table_rows(table_tower):
+                print(",".join(str(row[c]) for c in CSV_COLUMNS))
+        elif args.quiet:
+            _print_json(results)
+        else:
+            _print_json(
                 {
                     "schema": SCHEMA,
                     "command": args.command,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
+                    "parameters": _parameters(args),
+                    "results": results,
+                    "warnings": warnings,
+                }
             )
-        )
-        return 1
-    except (ValueError, TypeError) as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": args.command,
-                    "error": {"type": "UsageError", "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
+    except (ResavgError, ValueError, TypeError) as exc:
+        domain = isinstance(exc, ResavgError)
+        error = {"type": type(exc).__name__ if domain else "UsageError", "message": str(exc)}
+        _print_json({"schema": SCHEMA, "command": args.command, "error": error})
+        return 1 if domain else 2
     return 0
 
 

@@ -536,54 +536,33 @@ def verify_power_windows(table: EllTable, ks: tuple[int, ...], params: PowerSele
     return True
 
 
-def power_gap_start_index(
-    params: PowerSelectionParams,
-    primes: tuple[int, ...] | None = None,
-    gap_constant: int = 2,
-) -> int:
+def power_gap_start_index(params: PowerSelectionParams, primes: tuple[int, ...]) -> int:
     """First level from which the power-gap condition is guaranteed.
 
-    Smallest j with (delta - eps)(N + C j n^2) - (1 + eps)(C + 2) n^2 > 1;
-    when the prime sequence is supplied, also requires p_j**eps to clear
-    the consecutive-prime gap constant (2 by the classical bound).
+    Smallest j with (delta - eps)(N + C j n^2) - (1 + eps)(C + 2) n^2 > 1
+    and p_j**eps > 2, the consecutive-prime gap constant of the
+    classical bound.  Raises TableExhausted when no supplied prime
+    clears the gap constant.
     """
     n2 = params.n * params.n
     margin = (1 + params.epsilon) * (params.C + 2) * n2
     j = 1
     while (params.delta - params.epsilon) * (params.N + params.C * j * n2) - margin <= 1:
         j += 1
-    if primes is not None:
-        a, b = params.epsilon.numerator, params.epsilon.denominator
-        jp = None
-        for idx, p in enumerate(primes, start=1):
-            if p**a > gap_constant**b:
-                jp = idx
-                break
-        if jp is None:
-            raise ValueError("prime sequence too short to clear the gap constant")
-        j = max(j, jp)
-    return j
+    a, b = params.epsilon.numerator, params.epsilon.denominator
+    jp = next((idx for idx, p in enumerate(primes, start=1) if p**a > 2**b), None)
+    if jp is None:
+        raise TableExhausted("prime sequence too short to clear the gap constant")
+    return max(j, jp)
 
 
-def power_tower(
-    table: EllTable,
-    ks: tuple[int, ...],
-    count: int | None = None,
-    det_one: bool = True,
-    name: str | None = None,
-) -> IndexTower:
+def power_tower(table: EllTable, ks: tuple[int, ...]) -> IndexTower:
     """Tower with d[j] = orders[j] * p_j**ell(j, k_j) for selected depths.
 
     The supports are distinct primes, so l is taken as the running
     product; whether the result really is a prime system is a property
     of the depth-1 orders and is computed by is_prime_system, never
-    asserted here.  det_one is a label recording which family the table
-    was built from; the table alone determines the indices.
+    asserted here.
     """
-    if count is None:
-        count = len(ks)
-    if not 1 <= count <= len(ks):
-        raise ValueError(f"count {count} out of range 1..{len(ks)}")
-    d = tuple(table.index_at(j, ks[j - 1]) for j in range(1, count + 1))
-    label = name or f"power-selected({'sl' if det_one else 'gl'},n={table.n})"
-    return IndexTower(name=label, d=d, l=running_product(d))
+    d = tuple(table.index_at(j, k) for j, k in enumerate(ks, start=1))
+    return IndexTower(name=f"power-selected(sl,n={table.n})", d=d, l=running_product(d))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_moduli_tower
 from resavg.cli import (
+    CSV_COLUMNS,
     decimal_str,
     main,
     read_tower,
@@ -16,6 +17,7 @@ from resavg.cli import (
 )
 from resavg.errors import SchemaError
 from resavg.integers import tower_primes
+from resavg.primes import first_primes
 from resavg.tower import IndexTower
 
 
@@ -315,34 +317,56 @@ class TestTowerCheckConsistency:
             assert self.check(capsys, tmp_path, random_moduli_tower(rng)) is None
 
 
-class TestSelectPowersCommand:
-    def test_end_to_end(self, capsys, tmp_path):
-        from resavg.primes import first_primes
+def table_json(prime_count=16):
+    return {
+        "primes": list(first_primes(prime_count)),
+        "ell": [list(range(130)) for _ in range(prime_count)],
+        "O": [1] * prime_count,
+    }
 
-        table = {
-            "primes": list(first_primes(16)),
-            "ell": [list(range(130)) for _ in range(16)],
-            "O": [1] * 16,
-        }
+
+SELECT_ARGS = ("--n", "1", "--N0", "2", "--C", "5", "--delta", "2/5", "--epsilon", "1/5")
+
+
+class TestSelectPowersCommand:
+    def select(self, capsys, tmp_path, table, *extra):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(table), encoding="utf-8")
-        code, report = run_json(
-            capsys,
-            "select-powers",
-            "--table", str(path),
-            "--n", "1",
-            "--N0", "2",
-            "--C", "5",
-            "--delta", "2/5",
-            "--epsilon", "1/5",
-            "--emit-tower",
-            "--quiet",
-        )
+        return run_json(capsys, "select-powers", "--table", str(path), *SELECT_ARGS, *extra)
+
+    def test_end_to_end(self, capsys, tmp_path):
+        code, report = self.select(capsys, tmp_path, table_json(), "--emit-tower", "--quiet")
         assert code == 0
         assert report["ks"][:2] == [9, 15]
         assert report["windows_verified"] is True
         assert report["gap_start_index"] == 12
         assert report["gap_check_power"] is True
+
+    @pytest.mark.parametrize(
+        "key, row, col, value, field",
+        [
+            ("primes", 0, None, 2.9, "primes[1]"),
+            ("O", 0, None, True, "O[1]"),
+            ("ell", 0, 1, 1.0, "ell[1][2]"),
+            ("ell", 2, None, 7, "ell[3]"),
+        ],
+    )
+    def test_malformed_entry_is_schema_error(self, capsys, tmp_path, key, row, col, value, field):
+        table = table_json()
+        if col is None:
+            table[key][row] = value
+        else:
+            table[key][row][col] = value
+        code, report = self.select(capsys, tmp_path, table)
+        assert code == 1
+        assert report["error"]["type"] == "SchemaError"
+        assert report["error"]["message"].startswith(f"field '{field}': ")
+
+    def test_short_table_is_table_exhausted(self, capsys, tmp_path):
+        # depths are selected, but neither 2 nor 3 passes p**(1/5) > 2, the gap constant
+        code, report = self.select(capsys, tmp_path, table_json(2))
+        assert code == 1
+        assert report["error"]["type"] == "TableExhausted"
 
 
 class TestExitCodes:
@@ -358,6 +382,54 @@ class TestExitCodes:
     def test_invalid_value_is_usage_error(self, capsys):
         code, out = run(capsys, "ave-z", "--terms", "-1")
         assert code == 2
+
+    def test_envelope_keys(self, capsys):
+        code, report = run_json(capsys, "ave-z", "--terms", "5")
+        assert code == 0
+        assert set(report) == {"schema", "command", "parameters", "results", "warnings"}
+
+    def test_quiet_prints_only_results(self, capsys):
+        argv = ("sl-tower", "--n", "2", "--primes", "6", "--classify", "--window", "3")
+        _, report = run_json(capsys, *argv)
+        code, quiet = run_json(capsys, *argv, "--quiet")
+        assert code == 0
+        assert quiet == report["results"]
+
+    def test_csv_takes_precedence_over_quiet(self, capsys):
+        code, out = run(capsys, "--quiet", "sl-tower", "--n", "2", "--primes", "3", "--csv")
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert len(out.splitlines()) == 4
+
+    def test_out_with_csv_writes_file_and_prints_csv(self, capsys, tmp_path):
+        path = tmp_path / "sl.json"
+        argv = ("sl-tower", "--n", "2", "--primes", "3", "--out", str(path), "--csv")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert read_tower(path).d == (6, 24, 120)
+
+    def test_unwritable_out_is_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out = run(capsys, "grig", "--levels", "2", "--out", str(path))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].startswith(f"cannot write tower file {path}: ")
+        assert not path.parent.exists()
+
+    def test_malformed_table_json_reports_line_and_column(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"primes": [2, 3,]}', encoding="utf-8")
+        code, report = run_json(capsys, "select-powers", "--table", str(path), *SELECT_ARGS)
+        assert code == 1
+        assert report["error"] == {
+            "type": "SchemaError",
+            "message": f"{path}:1:18: invalid JSON: Expecting value",
+        }
+        # tower files report the same form
+        _, report = run_json(capsys, "classify", "--tower", str(path))
+        assert report["error"]["message"] == f"{path}:1:18: invalid JSON: Expecting value"
 
     def test_determinism(self, capsys):
         argv = ["sl-tower", "--n", "2", "--primes", "8", "--classify", "--window", "3"]

@@ -255,3 +255,10 @@ class TestPowerSelection:
         t = power_tower(table, ks)
         assert len(t) == 1
         assert is_prime_system(t)
+
+    def test_gap_start_needs_a_prime_past_the_gap_constant(self):
+        params = PowerSelectionParams(n=1, N=2, C=5, delta=Fraction(2, 5), epsilon=Fraction(1, 5))
+        # p**(1/5) > 2 first holds at p = 37, the 12th prime
+        assert power_gap_start_index(params, primes=first_primes(12)) == 12
+        with pytest.raises(TableExhausted, match="too short"):
+            power_gap_start_index(params, primes=first_primes(11))
