@@ -62,7 +62,7 @@ def _parse_big_int(raw: Any, where: str) -> int:
         return raw
     if isinstance(raw, str):
         text = raw.strip()
-        if text.isdigit():
+        if text.isascii() and text.isdigit():
             return int(text)
     raise SchemaError(f"{where}: expected a decimal integer string, got {raw!r}")
 
@@ -96,7 +96,7 @@ def tower_from_json(obj: Any) -> IndexTower:
 def _read_json(path: str | Path, what: str) -> Any:
     try:
         payload = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return json.loads(payload)

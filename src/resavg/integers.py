@@ -10,16 +10,16 @@ The "does not divide" reading is used throughout: it is the index of the
 cheapest subgroup nZ missing m, and it stays well defined at m = 1 and
 when p divides m, where a literal gcd-based phrasing has no solution.
 
-The level-set measures and the exact partial averages below are tied to
-these functions through the lcm chain lcm(1..n), and the empirical
-counts give an independent, finite-sample route to the same numbers.
+The level-set measures, the exact partial averages and the empirical
+counts below are all read from the lcm chain lcm(1..n); the counts are
+exact closed forms, and the 1..N scan they replace is the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .errors import ZeroInput
 from .primes import first_primes, is_prime, lcm_sequence, lcm_upto
@@ -132,25 +132,23 @@ def ave_p_partial(p: int, terms: int) -> Fraction:
     return Fraction(terms * (p - 1))
 
 
-@lru_cache(maxsize=8)
-def _divisibility_profile(bound: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Counts of d_full values over 1..bound, plus the exact value sum."""
-    counts: dict[int, int] = {}
-    total = 0
-    for m in range(1, bound + 1):
-        n = 2
-        while m % n == 0:
-            n += 1
-        counts[n] = counts.get(n, 0) + 1
-        total += n
-    return tuple(sorted(counts.items())), total
+def _level_counts(bound: int) -> Iterator[tuple[int, int]]:
+    """(n, #{1 <= m <= bound : d_full(m) = n}) for each n with lcm(1..n-1) <= bound.
+
+    d_full(m) = n exactly when lcm(1..n-1) | m and lcm(1..n) does not;
+    O(log bound) terms, and every n past them has count 0.
+    """
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    n = 2
+    while lcm_upto(n - 1) <= bound:
+        yield n, bound // lcm_upto(n - 1) - bound // lcm_upto(n)
+        n += 1
 
 
 def divisibility_counts(bound: int) -> dict[int, int]:
-    """How often each d_full value occurs on 1..bound (single exact scan)."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    return dict(_divisibility_profile(bound)[0])
+    """How often each d_full value occurs on 1..bound (exact, zero counts omitted)."""
+    return {n: count for n, count in _level_counts(bound) if count}
 
 
 def empirical_density(n: int, bound: int) -> float:
@@ -161,16 +159,12 @@ def empirical_density(n: int, bound: int) -> float:
     """
     if n < 2:
         raise ValueError(f"level sets start at n = 2, got {n}")
-    counts = divisibility_counts(bound)
-    return counts.get(n, 0) / bound
+    return divisibility_counts(bound).get(n, 0) / bound
 
 
 def empirical_average(bound: int) -> float:
-    """Mean of d_full over 1..bound (exact integer sum, one division)."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    _, total = _divisibility_profile(bound)
-    return total / bound
+    """Mean of d_full over 1..bound (exact integer sum of n * count, one division)."""
+    return sum(n * count for n, count in _level_counts(bound)) / bound
 
 
 def tower_all_subgroups(levels: int) -> IndexTower:

@@ -75,23 +75,21 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q, k >= 1, by Newton's iteration from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while (y := ((k - 1) * x + q // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def _prime_power_base(q: int) -> tuple[int, int]:
-    """(p, k) with q = p**k, or InvalidPrimePower."""
-    if q < 2:
-        raise InvalidPrimePower(f"{q} is not a prime power")
-    p = q
-    for candidate in range(2, math.isqrt(q) + 1):
-        if q % candidate == 0:
-            p = candidate
-            break
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise InvalidPrimePower(f"{q} is not a prime power")
-    return p, k
+    """(p, k) with q = p**k, or InvalidPrimePower; p is among the k-th roots for k <= log2 q."""
+    for k in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, k)
+        if p**k == q and is_prime(p):
+            return p, k
+    raise InvalidPrimePower(f"{q} is not a prime power")
 
 
 def gl_order(n: int, q: int) -> int:

@@ -2,7 +2,8 @@
 
 Deterministic throughout: a bytearray sieve for modest bounds, a
 segmented sieve above that (workable to about 1e8), and Miller-Rabin
-with a fixed witness set (exact below 3.3e24) for spot checks.
+with the first 13 primes as witnesses for spot checks: exact below
+psi_13 = 3317044064679887385961981, a strong probable-prime test above.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from typing import Iterator
 _MONOLITHIC_LIMIT = 1 << 24
 _SEGMENT = 1 << 20
 
-# Sufficient witnesses for every n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The bases 2..37 alone are exact only below psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality check."""
+    """Miller-Rabin: exact below psi_13 (~3.3e24), a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

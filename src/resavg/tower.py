@@ -33,13 +33,16 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Floats go through their shortest decimal repr, so as_fraction(0.4)
     is 2/5 rather than the 53-bit binary artifact.  Strings accept both
-    "2/5" and "0.4".
+    "2/5" and "0.4"; a zero denominator ("1/0") is a ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {value!r}") from exc
 
 
 def _show(n: int) -> str:

@@ -135,6 +135,14 @@ class TestSubcommands:
         assert report["empirical"] == 0.5
         assert report["exact"]["exact"] == "1/2"
 
+    def test_density_at_a_bound_no_scan_reaches(self, capsys):
+        bound = 10**18
+        code, report = run_json(capsys, "density", "--n", "5", "--upto", str(bound), "--quiet")
+        assert code == 0
+        assert report["empirical"] == (bound // 12 - bound // 60) / bound
+        assert report["exact"]["exact"] == "1/15"
+        assert report["error_bound"]["exact"] == "3/25000000000000000"
+
     def test_grig_tower_json(self, capsys):
         code, report = run_json(capsys, "grig", "--levels", "2")
         assert code == 0
@@ -188,6 +196,12 @@ class TestSubcommands:
             capsys, "order", "--group", "gl", "--n", "2", "--q", "2", "--mod-power", "2", "--quiet"
         )
         assert report["order"] == "96"
+
+    def test_order_over_a_large_prime_field(self, capsys):
+        q = 1000000000000000003
+        code, report = run_json(capsys, "order", "--group", "sl", "--n", "2", "--q", str(q), "--quiet")
+        assert code == 0
+        assert report["order"] == str(q * (q * q - 1))
 
     def test_matdiv(self, capsys):
         code, report = run_json(capsys, "matdiv", "--matrix", "1,2;0,1", "--quiet")
@@ -349,6 +363,7 @@ class TestSelectPowersCommand:
             ("O", 0, None, True, "O[1]"),
             ("ell", 0, 1, 1.0, "ell[1][2]"),
             ("ell", 2, None, 7, "ell[3]"),
+            ("primes", 0, None, "\u00b2", "primes[1]"),
         ],
     )
     def test_malformed_entry_is_schema_error(self, capsys, tmp_path, key, row, col, value, field):
@@ -430,6 +445,32 @@ class TestExitCodes:
         # tower files report the same form
         _, report = run_json(capsys, "classify", "--tower", str(path))
         assert report["error"]["message"] == f"{path}:1:18: invalid JSON: Expecting value"
+
+    def test_non_utf8_file_is_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        for argv, what in (
+            (("classify", "--tower", str(path)), "tower"),
+            (("select-powers", "--table", str(path), *SELECT_ARGS), "table"),
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"]["type"] == "SchemaError"
+            assert report["error"]["message"].startswith(f"cannot read {what} file {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta", "--indices", "2", "--s", "1/0"),
+            ("select-powers", "--table", "t.json", *SELECT_ARGS[:6], "--delta", "2/0"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "invalid as_fraction value" in captured.err
 
     def test_determinism(self, capsys):
         argv = ["sl-tower", "--n", "2", "--primes", "8", "--classify", "--window", "3"]

@@ -122,6 +122,59 @@ class TestAverages:
                 assert ave_p_partial(p, terms) == ave_partial(t, terms)
 
 
+def scan_profiles(limit):
+    """The old 1..N scan, one integer at a time: (N, counts, value sum) for N = 1..limit."""
+    counts = {}
+    total = 0
+    for m in range(1, limit + 1):
+        n = 2
+        while m % n == 0:
+            n += 1
+        counts[n] = counts.get(n, 0) + 1
+        total += n
+        yield m, counts, total
+
+
+def scan_profile(bound):
+    for _, counts, total in scan_profiles(bound):
+        pass
+    return counts, total
+
+
+class TestEmpiricalAgainstScan:
+    """The lcm-chain closed forms against the 1..N scan they replaced."""
+
+    def check(self, bound, counts, total):
+        assert divisibility_counts(bound) == counts
+        assert list(divisibility_counts(bound)) == sorted(counts)
+        assert empirical_average(bound) == total / bound
+        for n in range(2, 10):
+            assert empirical_density(n, bound) == counts.get(n, 0) / bound
+
+    def test_every_bound_to_3000(self):
+        for bound, counts, total in scan_profiles(3000):
+            self.check(bound, counts, total)
+
+    def test_random_bounds_to_a_million(self):
+        rng = random.Random(5)
+        for bound in [10**6] + [rng.randrange(3000, 10**6) for _ in range(4)]:
+            self.check(bound, *scan_profile(bound))
+
+    def test_huge_bound_is_exact(self):
+        bound = 10**18
+        counts = divisibility_counts(bound)
+        assert sum(counts.values()) == bound
+        assert counts[5] == bound // 12 - bound // 60
+        assert max(counts) == 43  # lcm(1..42) <= 10**18 < lcm(1..43)
+        total = sum(n * count for n, count in counts.items())
+        assert empirical_average(bound) == total / bound
+
+    def test_bound_must_be_positive(self):
+        for fn in (divisibility_counts, empirical_average):
+            with pytest.raises(ValueError, match="bound must be positive"):
+                fn(0)
+
+
 class TestEmpirical:
     def test_density_n2_exact_at_even_bound(self):
         assert empirical_density(2, 10) == 0.5

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from resavg.errors import (
 from resavg.integers import d_prime
 from resavg.linear import (
     EllTable,
+    _prime_power_base,
     IntMatrix,
     PowerSelectionParams,
     brute_force_order,
@@ -35,6 +37,7 @@ from resavg.linear import (
 )
 from resavg.primes import first_primes
 from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
+from test_primes import PSI_12
 
 
 class TestOrders:
@@ -72,6 +75,55 @@ class TestOrders:
     def test_enumeration_budget_guard(self):
         with pytest.raises(ValueError):
             brute_force_order(3, 11, det_one=True)
+
+
+def trial_division_base(q):
+    """The old prime-power test: least factor by trial division to sqrt(q), then its power."""
+    if q < 2:
+        return None
+    p = q
+    for candidate in range(2, math.isqrt(q) + 1):
+        if q % candidate == 0:
+            p = candidate
+            break
+    k = 0
+    rest = q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return (p, k) if rest == 1 else None
+
+
+class TestPrimePowerBase:
+    """The integer-root search against the trial division it replaced."""
+
+    def test_every_q_below_200000(self):
+        for q in range(-5, 2 * 10**5):
+            try:
+                order = gl_order(1, q)
+            except InvalidPrimePower as exc:
+                order = str(exc)
+            expected = trial_division_base(q)
+            if expected is None:
+                assert order == f"{q} is not a prime power"
+            else:
+                assert order == q - 1
+                assert _prime_power_base(q) == expected
+
+    def test_high_powers_and_large_primes(self):
+        for p in (2, 3, 1009, 2**61 - 1):
+            for k in range(1, 200 // p.bit_length() + 1):
+                assert _prime_power_base(p**k) == (p, k)
+                with pytest.raises(InvalidPrimePower):
+                    gl_order(1, p**k * 7)
+
+    def test_composites_past_trial_division_reach(self):
+        with pytest.raises(InvalidPrimePower):
+            gl_order(1, PSI_12)
+        with pytest.raises(InvalidPrimePower):
+            sl_order(2, (2**61 - 1) * (2**31 - 1))
+        with pytest.raises(InvalidPrimePower):
+            sl_order(2, PSI_12**2)
 
 
 class TestSlPrimeTower:

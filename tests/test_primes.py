@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resavg.primes import (
     PrimeSeq,
@@ -13,6 +15,10 @@ from resavg.primes import (
     lcm_upto,
     primes_upto,
 )
+
+
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def trial_division_primes(bound):
@@ -125,3 +131,24 @@ class TestIsPrime:
     def test_large_known_values(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**67 - 1)
+
+    def test_strong_pseudoprime_bounds(self):
+        # psi_12 passes the bases 2..37 and is caught by 41
+        assert 399165290221 * 798330580441 == PSI_12
+        assert not is_prime(PSI_12)
+        # psi_13 passes every base 2..41: the documented end of exactness
+        assert is_prime(PSI_13)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=-5, max_value=PSI_13 - 1),
+            st.integers(min_value=0, max_value=10**6),
+            st.tuples(st.integers(2**39, 2**40), st.integers(2**39, 2**40)),
+        )
+    )
+    def test_matches_sympy_below_psi_13(self, n):
+        sympy = pytest.importorskip("sympy")
+        if isinstance(n, tuple):
+            n = sympy.nextprime(n[0]) * sympy.nextprime(n[1])
+        assert is_prime(n) == sympy.isprime(n)

@@ -15,6 +15,7 @@ from resavg.tower import (
     IndexTower,
     alpha,
     alphas,
+    as_fraction,
     ave_partial,
     ave_partial_product_form,
     ave_terms,
@@ -35,6 +36,13 @@ from resavg.tower import (
 
 PZ3 = tower_primes(3)  # d=(2,3,5), l=(2,6,30)
 NESTED = tower_prime_powers(2, 3)  # d=l=(2,4,8)
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_is_value_error(self, value):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction(value)
 
 
 class TestConstruction:
