@@ -9,7 +9,8 @@ towers and exponent tables.  Exit codes: 0 success, 1 domain error
 Exact rationals are emitted as {"exact": "num/den", "approx": "..."}
 with the approximation rendered to --digits significant digits under
 round-half-even.  Integers that can outgrow 64 bits (indices, orders,
-lcm values, numerators) are emitted as decimal strings.
+lcm values, numerators) are emitted as decimal strings of any length:
+main lifts CPython's int<->str digit limit while it runs.
 """
 
 from __future__ import annotations
@@ -568,6 +569,19 @@ def _print_json(payload: Any) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Reports print exact integers of any size: lift CPython's int<->str
+    # digit limit for this call only, so library callers keep it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

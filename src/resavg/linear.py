@@ -84,11 +84,22 @@ def _iroot(q: int, k: int) -> int:
 
 
 def _prime_power_base(q: int) -> tuple[int, int]:
-    """(p, k) with q = p**k, or InvalidPrimePower; p is among the k-th roots for k <= log2 q."""
-    for k in range(1, max(q, 1).bit_length()):
-        p = _iroot(q, k)
-        if p**k == q and is_prime(p):
-            return p, k
+    """(p, k) with q = p**k, or InvalidPrimePower naming q.
+
+    Only prime k <= log2 q need a root, since an r**k with k composite
+    is also an r**(k/m)-th power for a prime m | k; an exact root settles
+    the question, as q is a prime power iff that root is.
+    """
+    if is_prime(q):
+        return q, 1
+    for k in filter(is_prime, range(2, max(q, 1).bit_length())):
+        r = _iroot(q, k)
+        if r**k == q:
+            try:
+                p, e = _prime_power_base(r)
+            except InvalidPrimePower:
+                break
+            return p, e * k
     raise InvalidPrimePower(f"{q} is not a prime power")
 
 
@@ -233,19 +244,22 @@ def gap_ratio_limit_check(n: int, levels: int, slack: RationalLike) -> bool:
 
 
 def sl_ratio_scan(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, int]]:
-    """Max |SL(n,F_q)|/|SL(n,F_p)| over consecutive primes in [lo, hi]."""
-    best = Fraction(0)
+    """Max |SL(n,F_q)|/|SL(n,F_p)| over consecutive primes in [lo, hi].
+
+    One order per prime; pairs are compared to the running best num/den
+    by integer cross-products, and the first maximal pair is the witness.
+    """
+    num, den = 0, 1
     witness = (0, 0)
-    prev = None
+    prev = prev_order = 0
     for p in iter_primes(hi):
         if p < lo:
             continue
-        if prev is not None:
-            ratio = Fraction(sl_order(n, p), sl_order(n, prev))
-            if ratio > best:
-                best, witness = ratio, (prev, p)
-        prev = p
-    return best, witness
+        order = sl_order(n, p)
+        if prev and order * den > num * prev_order:
+            num, den, witness = order, prev_order, (prev, p)
+        prev, prev_order = p, order
+    return Fraction(num, den), witness
 
 
 def divisibility_matrix(gamma: IntMatrix, pmax: int) -> tuple[int, int]:

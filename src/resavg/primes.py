@@ -2,13 +2,19 @@
 
 Deterministic throughout: a bytearray sieve for modest bounds, a
 segmented sieve above that (workable to about 1e8), and Miller-Rabin
-with the first 13 primes as witnesses for spot checks: exact below
+for spot checks.  psi_k, the least odd composite that is a strong
+probable prime to each of the first k prime bases, is published for
+k <= 13 (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
+Comp. 86, 2017), so the first k primes are exact witnesses below psi_k.
+is_prime runs the shortest such prefix for n: two bases below
+1,373,653, all 13 at or above psi_12, exact below
 psi_13 = 3317044064679887385961981, a strong probable-prime test above.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -17,12 +23,31 @@ from typing import Iterator
 _MONOLITHIC_LIMIT = 1 << 24
 _SEGMENT = 1 << 20
 
-# The bases 2..37 alone are exact only below psi_12 = 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_1..psi_12: the first k witnesses are exact for every n < psi_k.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin: exact below psi_13 (~3.3e24), a strong probable-prime test above."""
+    """Miller-Rabin with the first k witnesses, k least with n < psi_k.
+
+    All 13 witnesses run from psi_12 on: exact below psi_13 (~3.3e24), a
+    strong probable-prime test above.  The psi_k are the published least
+    strong pseudoprimes to the first k prime bases (module docstring).
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -33,7 +58,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

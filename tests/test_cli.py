@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from resavg.cli import (
     write_tower,
 )
 from resavg.errors import SchemaError
-from resavg.integers import tower_primes
-from resavg.primes import first_primes
-from resavg.tower import IndexTower
+from resavg.integers import level_set_measure, tower_primes
+from resavg.linear import sl_prime_tower
+from resavg.primes import first_primes, lcm_upto
+from resavg.tower import IndexTower, _show, classify
 
 
 def run(capsys, *argv):
@@ -477,3 +479,47 @@ class TestExitCodes:
         code1, out1 = run(capsys, *argv)
         code2, out2 = run(capsys, *argv)
         assert (code1, out1) == (code2, out2)
+
+
+def decimal_int(text):
+    """Parse a decimal string of any length without lifting the int-str limit."""
+    value = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i : i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def exact_fraction(field):
+    num, den = field["exact"].split("/")
+    return Fraction(decimal_int(num), decimal_int(den))
+
+
+class TestIntegersOfAnySize:
+    """Reports print integers past CPython's 4300-digit int-str limit."""
+
+    def test_sl_tower_past_the_limit(self, capsys):
+        code, report = run_json(capsys, "sl-tower", "--n", "3", "--primes", "300", "--classify", "--quiet")
+        assert code == 0
+        t = sl_prime_tower(3, 300)
+        assert t.l[-1].bit_length() == 22125
+        assert [decimal_int(x) for x in report["tower"]["d"]] == list(t.d)
+        assert [decimal_int(x) for x in report["tower"]["l"]] == list(t.l)
+        assert report["classification"] == classify(t).value
+
+    def test_density_past_the_limit(self, capsys):
+        code, report = run_json(capsys, "density", "--n", "20000", "--upto", "10", "--quiet")
+        assert code == 0
+        assert exact_fraction(report["exact"]) == level_set_measure(20000).measure
+        assert exact_fraction(report["error_bound"]) == Fraction(2 * lcm_upto(20000), 10)
+
+    @pytest.mark.parametrize(
+        "argv", [("density", "--n", "20000", "--upto", "10"), ("order", "--q", "x")]
+    )
+    def test_library_keeps_the_limit(self, capsys, argv):
+        before = sys.get_int_max_str_digits()
+        assert before > 0
+        main(list(argv))
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == before
+        assert _show(10**5000) == "<int of 16610 bits>"

@@ -35,7 +35,7 @@ from resavg.linear import (
     verify_power_windows,
     wieferich_test,
 )
-from resavg.primes import first_primes
+from resavg.primes import first_primes, iter_primes
 from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
 from test_primes import PSI_12
 
@@ -146,6 +146,35 @@ class TestSlPrimeTower:
         best, pair = sl_ratio_scan(2, 100, 10**4)
         assert 1 < best <= Fraction(42, 5)
         assert 100 <= pair[0] < pair[1] <= 10**4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lo,hi", [(100, 10**4), (2, 50), (90, 100), (24, 28), (50, 10)])
+    def test_ratio_scan_matches_pairwise_fractions(self, n, lo, hi):
+        # (90, 100) holds the one prime 97; (24, 28) none; (50, 10) is reversed
+        assert sl_ratio_scan(n, lo, hi) == sl_ratio_scan_pairwise(n, lo, hi)
+
+    def test_ratio_scan_without_a_pair(self):
+        for lo, hi in [(90, 100), (24, 28), (50, 10)]:
+            assert sl_ratio_scan(2, lo, hi) == (Fraction(0), (0, 0))
+
+    def test_ratio_scan_to_a_million(self):
+        assert sl_ratio_scan(2, 100, 10**6) == (Fraction(3048, 2147), (113, 127))
+
+
+def sl_ratio_scan_pairwise(n, lo, hi):
+    """The former scan: two orders and one Fraction per consecutive pair."""
+    best = Fraction(0)
+    witness = (0, 0)
+    prev = None
+    for p in iter_primes(hi):
+        if p < lo:
+            continue
+        if prev is not None:
+            ratio = Fraction(sl_order(n, p), sl_order(n, prev))
+            if ratio > best:
+                best, witness = ratio, (prev, p)
+        prev = p
+    return best, witness
 
 
 class TestDivisibilityMatrix:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,52 @@ from resavg.primes import (
 )
 
 
-PSI_12 = 318665857834031151167461
-PSI_13 = 3317044064679887385961981
+# psi_k: the least odd composite that is a strong probable prime to each
+# of the first k prime bases (Jaeschke 1993; Sorenson and Webster 2017).
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI_12 = PSI[11]
+PSI_13 = PSI[12]
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round: n odd, n > a >= 2."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_all_witnesses(n):
+    """The former is_prime: trial division by, then Miller-Rabin with, all 13 witnesses."""
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in WITNESSES)
 
 
 def trial_division_primes(bound):
@@ -138,6 +183,38 @@ class TestIsPrime:
         assert not is_prime(PSI_12)
         # psi_13 passes every base 2..41: the documented end of exactness
         assert is_prime(PSI_13)
+
+    def test_matches_sympy_below_200000(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(2 * 10**5):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_each_psi_is_rejected(self, k):
+        psi = PSI[k - 1]
+        # psi_k fools the first k witnesses, so the prefix for psi_k must be longer
+        assert all(strong_probable_prime(psi, a) for a in WITNESSES[:k])
+        assert not is_prime(psi)
+        assert not is_prime_all_witnesses(psi)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(PSI[:12]),
+        st.one_of(
+            st.integers(min_value=-(10**4), max_value=10**4).map(lambda off: (off, None)),
+            st.tuples(st.integers(min_value=-(10**4), max_value=10**4), st.integers(0, 10**4)),
+        ),
+    )
+    def test_matches_all_witnesses_near_each_psi(self, psi, near):
+        # n within 10^4 of psi_k, or a product of two primes close to psi_k
+        offset, spread = near
+        if spread is None:
+            n = psi + offset
+        else:
+            sympy = pytest.importorskip("sympy")
+            p = sympy.nextprime(math.isqrt(psi) + offset)
+            n = p * sympy.nextprime(psi // p + spread)
+        assert is_prime(n) == is_prime_all_witnesses(n)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
