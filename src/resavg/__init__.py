@@ -9,7 +9,6 @@ subcommands with deterministic JSON output.
 from .errors import (
     BoundExceeded,
     CoprimalityViolation,
-    DegenerateLevel,
     IdentityInput,
     InconsistentTower,
     InsufficientData,
@@ -25,7 +24,6 @@ from .tower import (
     GrowthClass,
     IndexTower,
     LevelDecomposition,
-    alpha,
     alphas,
     as_fraction,
     ave_partial,
@@ -41,14 +39,12 @@ from .tower import (
     is_prime_system,
     levels,
     measure_telescope,
-    measure_term,
     zeta_partial,
 )
 
 __all__ = [
     "BoundExceeded",
     "CoprimalityViolation",
-    "DegenerateLevel",
     "GrowthClass",
     "IdentityInput",
     "InconsistentTower",
@@ -62,7 +58,6 @@ __all__ = [
     "SchemaError",
     "TableExhausted",
     "ZeroInput",
-    "alpha",
     "alphas",
     "as_fraction",
     "ave_partial",
@@ -78,7 +73,6 @@ __all__ = [
     "is_prime_system",
     "levels",
     "measure_telescope",
-    "measure_term",
     "zeta_partial",
 ]
 

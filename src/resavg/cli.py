@@ -410,7 +410,7 @@ def _cmd_zeta(args) -> tuple[dict, list, None]:
     )
 
 
-def _cmd_tower_check(args) -> tuple[dict, list, IndexTower | None]:
+def _cmd_tower_check(args) -> tuple[dict, list, IndexTower]:
     t = read_tower(args.tower)
     first_bad = None
     for j in range(1, len(t) + 1):
@@ -433,8 +433,7 @@ def _cmd_tower_check(args) -> tuple[dict, list, IndexTower | None]:
             tower.measure_telescope(t, len(t)), args.digits
         )
         warnings = _degenerate_warnings(t)
-        return results, warnings, t
-    return results, warnings, None
+    return results, warnings, t
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +606,10 @@ def _run(argv: list[str] | None) -> int:
         if args.csv:
             if table_tower is None:
                 raise ValueError("--csv applies only to commands that carry a tower table")
+            # Rows first: an inconsistent tower then prints only the error object.
+            rows = tower_table_rows(table_tower)
             print(",".join(CSV_COLUMNS))
-            for row in tower_table_rows(table_tower):
+            for row in rows:
                 print(",".join(str(row[c]) for c in CSV_COLUMNS))
         elif args.quiet:
             _print_json(results)

@@ -13,10 +13,6 @@ class InconsistentTower(ResavgError):
     """Index sequences cannot come from a subgroup lattice."""
 
 
-class DegenerateLevel(ResavgError):
-    """A growth ratio was requested at a level that contributes no measure."""
-
-
 class InsufficientData(ResavgError):
     """Fewer defined growth ratios than the requested window."""
 

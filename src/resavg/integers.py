@@ -10,9 +10,10 @@ The "does not divide" reading is used throughout: it is the index of the
 cheapest subgroup nZ missing m, and it stays well defined at m = 1 and
 when p divides m, where a literal gcd-based phrasing has no solution.
 
-The level-set measures, the exact partial averages and the empirical
-counts below are all read from the lcm chain lcm(1..n); the counts are
-exact closed forms, and the 1..N scan they replace is the test oracle.
+The level-set measures and the empirical counts below are read from the
+lcm chain lcm(1..n); the counts are exact closed forms, and the 1..N
+scan they replace is the test oracle.  The exact partial averages are
+ave_partial folds over the towers at the end of the module.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 from .errors import ZeroInput
 from .primes import first_primes, is_prime, lcm_sequence, lcm_upto
-from .tower import IndexTower, running_product
+from .tower import IndexTower, ave_partial, running_product
 
 
 def _abs_nonzero(m: int) -> int:
@@ -89,34 +90,27 @@ def level_set_measure(n: int) -> ZLevelSet:
 def ave_z_partial(terms: int) -> Fraction:
     """Exact partial sum of the full-system average over the integers.
 
-    Sum over j <= terms of j * (1 - lcm(1..j-1)/lcm(1..j)) / lcm(1..j-1).
-    Converges extremely fast; fifty terms pin the limit far beyond ten
-    digits (reference value 2.787780456).
+    Sum over j <= terms of j * (1 - lcm(1..j-1)/lcm(1..j)) / lcm(1..j-1),
+    folded by ave_partial over tower_all_subgroups: its level i carries
+    d = i + 1, and the j = 1 term is 0.  Converges extremely fast; fifty
+    terms pin the limit far beyond ten digits (reference value
+    2.787780456).
     """
     if terms < 0:
         raise ValueError("terms must be non-negative")
-    chain = lcm_sequence(terms)
-    total = Fraction(0)
-    for j in range(1, terms + 1):
-        prev, cur = chain[j - 1], chain[j]
-        total += j * (1 - Fraction(prev, cur)) * Fraction(1, prev)
-    return total
+    return ave_partial(tower_all_subgroups(max(terms - 1, 1)), max(terms - 1, 0))
 
 
 def ave_prime_partial(terms: int) -> Fraction:
     """Exact partial sum of the prime-system average over the integers.
 
-    Sum over j <= terms of (p_j - 1) / (p_1 ... p_{j-1}); fifteen terms
-    pin the limit beyond ten digits (reference value 2.920050977).
+    Sum over j <= terms of (p_j - 1) / (p_1 ... p_{j-1}), folded by
+    ave_partial over tower_primes; fifteen terms pin the limit beyond
+    ten digits (reference value 2.920050977).
     """
     if terms < 0:
         raise ValueError("terms must be non-negative")
-    total = Fraction(0)
-    product = 1
-    for p in first_primes(terms):
-        total += Fraction(p - 1, product)
-        product *= p
-    return total
+    return ave_partial(tower_primes(max(terms, 1)), terms)
 
 
 def ave_p_partial(p: int, terms: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Matrix-group towers: orders over finite rings, divisibility of integer
 matrices, multiplicative-order exponent tables, and power selection.
 
-Order formulas come with brute-force enumeration oracles so nothing is
-taken on faith at desk scale.  The exponent tables record, for each
+Group orders are closed forms; the tests check them against brute-force
+enumeration of small matrix rings.  The exponent tables record, for each
 prime p and depth k, how many extra factors of p the image of a group
 picks up when reduction mod p is refined to reduction mod p^k; the
 power-selection routine walks such a table and chooses one depth per
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
 from .errors import (
     BoundExceeded,
@@ -25,8 +24,6 @@ from .errors import (
 )
 from .primes import first_primes, is_prime, iter_primes
 from .tower import IndexTower, RationalLike, as_fraction, running_product
-
-ENUMERATION_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -118,78 +115,6 @@ def gl_order(n: int, q: int) -> int:
 def sl_order(n: int, q: int) -> int:
     """|SL(n, F_q)| = |GL(n, F_q)| / (q - 1)."""
     return gl_order(n, q) // (q - 1)
-
-
-def _det_mod(rows: tuple[int, ...], n: int, modulus: int) -> int:
-    """Determinant of a flat row-major matrix, reduced mod `modulus`.
-
-    Cofactor-free formulas for n <= 3, full permutation expansion above
-    (valid over any Z/m, unlike elimination).
-    """
-    if n == 1:
-        return rows[0] % modulus
-    if n == 2:
-        return (rows[0] * rows[3] - rows[1] * rows[2]) % modulus
-    if n == 3:
-        a, b, c, d, e, f, g, h, i = rows
-        return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % modulus
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            cursor = start
-            while not seen[cursor]:
-                seen[cursor] = True
-                cursor = perm[cursor]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = sign
-        for row_idx in range(n):
-            term *= rows[row_idx * n + perm[row_idx]]
-        total += term
-    return total % modulus
-
-
-def _enumerate_order(n: int, modulus: int, det_one: bool) -> int:
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if modulus ** (n * n) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration of {modulus}^{n * n} matrices exceeds the {ENUMERATION_LIMIT} budget"
-        )
-    count = 0
-    for rows in product(range(modulus), repeat=n * n):
-        det = _det_mod(rows, n, modulus)
-        if det_one:
-            count += det == 1
-        else:
-            count += math.gcd(det, modulus) == 1
-    return count
-
-
-def brute_force_order(n: int, p: int, det_one: bool) -> int:
-    """Count n x n matrices over F_p with det = 1 (or just invertible).
-
-    Pure enumeration; this is the oracle the closed-form orders are
-    tested against.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return _enumerate_order(n, p, det_one)
-
-
-def brute_force_order_mod(n: int, p: int, k: int, det_one: bool) -> int:
-    """Same enumeration over Z/p^k (det must be a unit, or exactly 1)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _enumerate_order(n, p**k, det_one)
 
 
 def order_mod_pk(n: int, p: int, k: int, det_one: bool) -> int:
@@ -440,13 +365,15 @@ def sl_exact_ell_table(n: int, count: int, depth: int) -> EllTable:
 
 
 def wieferich_test(p: int, a: int = 2) -> bool:
-    """True iff a**(p-1) is 1 mod p^2.
+    """True iff a**(p-1) is 1 mod p^2, for a base a prime to p.
 
     Such primes are exactly where the exponent table of <a> stalls at
     depth 2 (the order mod p^2 equals the order mod p).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if a % p == 0:
+        raise CoprimalityViolation(f"base {a} shares a factor with prime {p}")
     return pow(a, p - 1, p * p) == 1
 
 

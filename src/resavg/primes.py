@@ -119,11 +119,6 @@ class PrimeSeq:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def spot_check(self, count: int = 25) -> bool:
-        """Miller-Rabin every (len//count)-th element; True if all pass."""
-        step = max(1, len(self.primes) // max(count, 1))
-        return all(is_prime(p) for p in self.primes[::step])
-
 
 def primes_upto(bound: int) -> PrimeSeq:
     """All primes <= bound, bound >= 2."""

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import DegenerateLevel, InconsistentTower, InsufficientData
+from .errors import InconsistentTower, InsufficientData
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -187,23 +187,13 @@ def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecompositi
     return out
 
 
-def measure_term(tower: IndexTower, j: int) -> Fraction:
-    """Haar measure of the level-j coset shell, (s-1)/(r*s*t).
-
-    Equals 1/l[j-1] - 1/l[j] exactly; the telescoping form is kept as an
-    independent test oracle rather than used here.
-    """
-    dec = decompose(tower, j)
-    return Fraction(dec.s - 1, dec.r * dec.s * dec.t)
-
-
 def ave_terms(tower: IndexTower, terms: int | None = None) -> list[Fraction]:
     """The series terms (s_j - 1)/t_j of the residual average."""
     return [Fraction(dec.s - 1, dec.t) for dec in levels(tower, terms)]
 
 
 def ave_partial(tower: IndexTower, terms: int) -> Fraction:
-    """Partial residual average: sum of d[j] * measure_term over j <= terms.
+    """Partial residual average: sum of d[j] (1/l[j-1] - 1/l[j]) over j <= terms.
 
     Each term (s_j - 1)/t_j is (s_j - 1) r_j s_j over l[j], so the sum is
     folded Horner-wise over the single denominator l[terms] and
@@ -254,28 +244,17 @@ def _defined_ratios(decs: list[LevelDecomposition]) -> list[int]:
     return [j for j in range(1, len(decs)) if decs[j - 1].s != 1]
 
 
-def alpha(tower: IndexTower, j: int) -> Fraction:
-    """Consecutive-term ratio r_{j+1}(s_{j+1}-1) / (r_j s_j (s_j-1)).
-
-    Defined for j+1 <= levels and s_j >= 2; a level with s_j = 1
-    contributes no measure and the ratio degenerates there.
-    """
-    if not 1 <= j <= len(tower) - 1:
-        raise ValueError(f"alpha needs levels j and j+1; got j = {j} of {len(tower)}")
-    low = decompose(tower, j)
-    high = decompose(tower, j + 1)
-    if low.s == 1:
-        raise DegenerateLevel(f"{tower.name}: s_{j} = 1, ratio undefined at level {j}")
-    return Fraction(*_ratio(low, high))
-
-
 def degenerate_levels(tower: IndexTower) -> list[int]:
     """Levels with s_j = 1 (they add nothing and have no growth ratio)."""
     return [j for j, dec in enumerate(levels(tower), start=1) if dec.s == 1]
 
 
 def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
-    """All defined (j, alpha_j) pairs, skipping degenerate levels."""
+    """All defined (j, alpha_j) pairs, skipping degenerate levels.
+
+    alpha_j = r_{j+1}(s_{j+1}-1) / (r_j s_j (s_j-1)) is the ratio of
+    consecutive series terms, defined for j < levels with s_j >= 2.
+    """
     decs = levels(tower)
     return [(j, Fraction(*_ratio(decs[j - 1], decs[j]))) for j in _defined_ratios(decs)]
 

@@ -1,0 +1,86 @@
+"""Brute-force enumeration oracles for the matrix-group order formulas.
+
+They count matrices over Z/m one by one, so every closed form in
+resavg.linear is checked against a direct count at desk scale.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import permutations, product
+
+from resavg.primes import is_prime
+
+ENUMERATION_LIMIT = 10**8
+
+
+def _det_mod(rows: tuple[int, ...], n: int, modulus: int) -> int:
+    """Determinant of a flat row-major matrix, reduced mod `modulus`.
+
+    Cofactor-free formulas for n <= 3, full permutation expansion above
+    (valid over any Z/m, unlike elimination).
+    """
+    if n == 1:
+        return rows[0] % modulus
+    if n == 2:
+        return (rows[0] * rows[3] - rows[1] * rows[2]) % modulus
+    if n == 3:
+        a, b, c, d, e, f, g, h, i = rows
+        return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % modulus
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            length = 0
+            cursor = start
+            while not seen[cursor]:
+                seen[cursor] = True
+                cursor = perm[cursor]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        term = sign
+        for row_idx in range(n):
+            term *= rows[row_idx * n + perm[row_idx]]
+        total += term
+    return total % modulus
+
+
+def _enumerate_order(n: int, modulus: int, det_one: bool) -> int:
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    if modulus ** (n * n) > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"enumeration of {modulus}^{n * n} matrices exceeds the {ENUMERATION_LIMIT} budget"
+        )
+    count = 0
+    for rows in product(range(modulus), repeat=n * n):
+        det = _det_mod(rows, n, modulus)
+        if det_one:
+            count += det == 1
+        else:
+            count += math.gcd(det, modulus) == 1
+    return count
+
+
+def brute_force_order(n: int, p: int, det_one: bool) -> int:
+    """Count n x n matrices over F_p with det = 1 (or just invertible).
+
+    Pure enumeration; this is the oracle the closed-form orders are
+    tested against.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return _enumerate_order(n, p, det_one)
+
+
+def brute_force_order_mod(n: int, p: int, k: int, det_one: bool) -> int:
+    """Same enumeration over Z/p^k (det must be a unit, or exactly 1)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return _enumerate_order(n, p**k, det_one)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_consistent_tower, random_prime_tower
+from oracles import brute_force_order, brute_force_order_mod
 from resavg import cli
 from resavg.grigorchuk import grig_tower, level_action, level_quotient_order, slnzp_tower
 from resavg.integers import (
@@ -28,8 +29,6 @@ from resavg.integers import (
 from resavg.linear import (
     IntMatrix,
     PowerSelectionParams,
-    brute_force_order,
-    brute_force_order_mod,
     divisibility_matrix,
     gl_order,
     order_mod_pk,

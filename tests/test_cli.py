@@ -214,6 +214,11 @@ class TestSubcommands:
         code, report = run_json(capsys, "wieferich", "--p", "1093", "--quiet")
         assert report["wieferich"] is True
 
+    def test_wieferich_base_divisible_by_p_is_domain_error(self, capsys):
+        code, out = run(capsys, "wieferich", "--p", "1093", "--a", "1093")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "CoprimalityViolation"
+
     def test_zeta_indices(self, capsys):
         code, report = run_json(capsys, "zeta", "--indices", "2", "--s", "1", "--quiet")
         assert report["value"] == 0.5
@@ -283,6 +288,17 @@ class TestTowerFileCommands:
         code, out = run(capsys, "classify", "--tower", str(path))
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InconsistentTower"
+
+    def test_inconsistent_tower_csv_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "d": ["2", "3"], "l": ["2", "5"]}), encoding="utf-8")
+        for command in ("tower-check", "ave", "classify"):
+            code, out = run(capsys, command, "--tower", str(path), "--csv")
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "InconsistentTower"
+        code, report = run_json(capsys, "tower-check", "--tower", str(path), "--quiet")
+        assert code == 0
+        assert report["consistent"] is False
 
     def test_csv_projection(self, capsys, tower_file):
         code, out = run(capsys, "ave", "--tower", tower_file, "--csv")

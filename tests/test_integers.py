@@ -19,7 +19,7 @@ from resavg.integers import (
     tower_prime_powers,
     tower_primes,
 )
-from resavg.primes import lcm_upto, primes_upto
+from resavg.primes import first_primes, lcm_sequence, lcm_upto, primes_upto
 from resavg.tower import ave_partial, is_nested, is_prime_system
 
 
@@ -85,7 +85,38 @@ class TestLevelSetMeasure:
         assert total == 1 - Fraction(1, lcm_upto(30))
 
 
+def ave_z_per_term(terms):
+    """The former per-term sum: j * (1 - lcm(1..j-1)/lcm(1..j)) / lcm(1..j-1) over j <= terms."""
+    chain = lcm_sequence(terms)
+    total = Fraction(0)
+    for j in range(1, terms + 1):
+        prev, cur = chain[j - 1], chain[j]
+        total += j * (1 - Fraction(prev, cur)) * Fraction(1, prev)
+    return total
+
+
+def ave_prime_per_term(terms):
+    """The former per-term sum: (p_j - 1) / (p_1 ... p_{j-1}) over j <= terms."""
+    total = Fraction(0)
+    product = 1
+    for p in first_primes(terms):
+        total += Fraction(p - 1, product)
+        product *= p
+    return total
+
+
 class TestAverages:
+    def test_folds_match_per_term_sums(self):
+        for terms in range(201):
+            assert ave_z_partial(terms) == ave_z_per_term(terms)
+            assert ave_prime_partial(terms) == ave_prime_per_term(terms)
+        assert ave_z_partial(1000) == ave_z_per_term(1000)
+
+    def test_negative_terms_rejected(self):
+        for fn in (ave_z_partial, ave_prime_partial):
+            with pytest.raises(ValueError, match="terms must be non-negative"):
+                fn(-1)
+
     def test_ave_z_small(self):
         assert ave_z_partial(3) == 2
         assert ave_z_partial(5) == Fraction(8, 3)
@@ -218,8 +249,8 @@ class TestTowers:
         # with the J-th tower level carrying divisibility value J + 1
         for levels in (1, 4, 10, 29):
             t = tower_all_subgroups(levels)
-            assert ave_partial(t, levels) == ave_z_partial(levels + 1)
+            assert ave_partial(t, levels) == ave_z_per_term(levels + 1)
 
     def test_prime_tower_average_identity(self):
         for levels in (1, 3, 8):
-            assert ave_partial(tower_primes(levels), levels) == ave_prime_partial(levels)
+            assert ave_partial(tower_primes(levels), levels) == ave_prime_per_term(levels)

@@ -17,8 +17,6 @@ from resavg.linear import (
     _prime_power_base,
     IntMatrix,
     PowerSelectionParams,
-    brute_force_order,
-    brute_force_order_mod,
     divisibility_matrix,
     gap_ratio_limit_check,
     gl_order,
@@ -37,6 +35,7 @@ from resavg.linear import (
 )
 from resavg.primes import first_primes, iter_primes
 from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
+from oracles import brute_force_order, brute_force_order_mod
 from test_primes import PSI_12
 
 
@@ -243,6 +242,11 @@ class TestMultiplicativeOrders:
         assert wieferich_test(1093, 2) is True
         assert wieferich_test(3, 2) is False
         assert wieferich_test(11, 3) is True
+
+    def test_wieferich_needs_a_base_prime_to_p(self):
+        for p, a in ((1093, 1093), (3, 6), (5, -10)):
+            with pytest.raises(CoprimalityViolation):
+                wieferich_test(p, a)
 
     def test_wieferich_prime_stalls_the_table(self):
         table = mult_order_ell_table(2, (1093,), 2)

@@ -100,9 +100,6 @@ class TestPrimesUpto:
         for bound in bounds:
             assert list(primes_upto(bound).primes) == trial_division_primes(bound)
 
-    def test_spot_check(self):
-        assert primes_upto(10**4).spot_check()
-
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             primes_upto(1)

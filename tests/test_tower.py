@@ -8,12 +8,11 @@ from conftest import (
     random_nested_tower,
     random_prime_tower,
 )
-from resavg.errors import DegenerateLevel, InconsistentTower, InsufficientData
+from resavg.errors import InconsistentTower, InsufficientData
 from resavg.integers import tower_prime_powers, tower_primes
 from resavg.tower import (
     GrowthClass,
     IndexTower,
-    alpha,
     alphas,
     as_fraction,
     ave_partial,
@@ -29,7 +28,6 @@ from resavg.tower import (
     is_prime_system,
     levels,
     measure_telescope,
-    measure_term,
     running_product,
     zeta_partial,
 )
@@ -123,21 +121,6 @@ class TestDecompose:
         assert str(info.value) == f"x: d[2] = 3 does not divide l[2] = {10**4000}"
 
 
-class TestMeasureTerm:
-    def test_examples(self):
-        assert measure_term(PZ3, 2) == Fraction(1, 3)
-        assert measure_term(PZ3, 1) == Fraction(1, 2)
-        assert measure_term(IndexTower("rep", (2, 2), (2, 2)), 2) == 0
-
-    def test_telescoping_identity(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            t = random_consistent_tower(rng)
-            for j in range(1, len(t) + 1):
-                expected = Fraction(1, t.l_at(j - 1)) - Fraction(1, t.l_at(j))
-                assert measure_term(t, j) == expected
-
-
 class TestAvePartial:
     def test_examples(self):
         assert ave_partial(PZ3, 3) == Fraction(8, 3)
@@ -149,7 +132,10 @@ class TestAvePartial:
         for _ in range(100):
             t = random_consistent_tower(rng)
             total = sum(
-                (t.d_at(j) * measure_term(t, j) for j in range(1, len(t) + 1)),
+                (
+                    t.d_at(j) * (Fraction(1, t.l_at(j - 1)) - Fraction(1, t.l_at(j)))
+                    for j in range(1, len(t) + 1)
+                ),
                 Fraction(0),
             )
             assert ave_partial(t, len(t)) == total
@@ -190,17 +176,16 @@ class TestProductForm:
 
 class TestAlpha:
     def test_prime_tower(self):
-        assert alpha(PZ3, 2) == Fraction(2, 3)
+        assert (2, Fraction(2, 3)) in alphas(PZ3)
 
     def test_identical_levels(self):
-        t = IndexTower("flat", (2, 2), (2, 4))  # r=s... s_1=2, s_2=2, r=1 both
-        assert alpha(t, 1) == Fraction(1, 2)
+        t = IndexTower("flat", (2, 2), (2, 4))  # s_1 = s_2 = 2, r = 1 at both levels
+        assert alphas(t) == [(1, Fraction(1, 2))]
 
     def test_degenerate_guard(self):
         t = IndexTower("deg", (2, 2, 4), (2, 2, 8))
-        assert alpha(t, 1) == 0  # s_2 = 1 only zeroes the numerator
-        with pytest.raises(DegenerateLevel):
-            alpha(t, 2)
+        # s_2 = 1 only zeroes the numerator at j = 1, and leaves j = 2 undefined
+        assert alphas(t) == [(1, Fraction(0))]
 
     def test_nested_constant_s_sits_on_the_boundary(self):
         # literal evaluation from (r, s, t): r doubles while s stays 2,
