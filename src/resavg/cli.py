@@ -176,8 +176,8 @@ Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], list[str], IndexT
 
 
 def _cmd_primes(args) -> tuple[dict, list, None]:
-    seq = primes.primes_upto(args.upto)
-    return {"bound": args.upto, "count": len(seq), "primes": list(seq.primes)}, [], None
+    ps = primes.primes_upto(args.upto)
+    return {"bound": args.upto, "count": len(ps), "primes": list(ps)}, [], None
 
 
 def _cmd_bertrand(args) -> tuple[dict, list, None]:
@@ -384,8 +384,6 @@ def _cmd_ave(args) -> tuple[dict, list, IndexTower]:
 
 
 def _cmd_zeta(args) -> tuple[dict, list, None]:
-    if (args.tower is None) == (args.indices is None):
-        raise SchemaError("provide exactly one of --tower / --indices")
     if args.tower is not None:
         t = read_tower(args.tower)
         pool = sorted(set(t.d))
@@ -542,8 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int)
 
     p = add("zeta", _cmd_zeta, "partial index zeta sum of a tower or explicit index set")
-    p.add_argument("--tower")
-    p.add_argument("--indices", help="comma-separated distinct indices")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tower")
+    source.add_argument("--indices", help="comma-separated distinct indices")
     p.add_argument("--s", type=as_fraction, required=True)
     p.add_argument("--terms", type=int)
 

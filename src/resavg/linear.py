@@ -125,7 +125,7 @@ def order_mod_pk(n: int, p: int, k: int, det_one: bool) -> int:
     p^(n^2 (k-1)) |GL(n, F_p)| and p^((n^2-1)(k-1)) |SL(n, F_p)|.
     """
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise InvalidPrimePower(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if det_one:
@@ -150,22 +150,18 @@ def sl_prime_tower(n: int, levels: int) -> IndexTower:
 def gap_ratio_limit_check(n: int, levels: int, slack: RationalLike) -> bool:
     """Check the asymptotic bound on consecutive SL index ratios.
 
-    Over the second half of the first `levels` primes, every ratio
-    |SL(n, F_q)| / |SL(n, F_p)| for consecutive p < q must stay below
-    2^(n^2 - 1) * (1 + slack).  The early primes are excluded on
+    Over the second half of the first `levels` primes, from p_(levels//2)
+    on, every ratio |SL(n, F_q)| / |SL(n, F_p)| for consecutive p < q
+    must stay at or below 2^(n^2 - 1) * (1 + slack): the maximum that
+    sl_ratio_scan finds there decides.  The early primes are excluded on
     purpose: the bound is a limit statement and the first few ratios
     overshoot it.
     """
     if levels < 10:
         raise ValueError("need at least 10 primes for a meaningful ratio scan")
     bound = (Fraction(2) ** (n * n - 1)) * (1 + as_fraction(slack))
-    orders = [sl_order(n, p) for p in first_primes(levels)]
-    start = max(1, levels // 2)
-    for j in range(start, levels):
-        # pair (p_j, p_{j+1}), 1-indexed
-        if orders[j] * bound.denominator > orders[j - 1] * bound.numerator:
-            return False
-    return True
+    ps = first_primes(levels)
+    return sl_ratio_scan(n, ps[levels // 2 - 1], ps[-1])[0] <= bound
 
 
 def sl_ratio_scan(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, int]]:
@@ -245,14 +241,6 @@ def _euler_phi(n: int) -> int:
     return phi
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class EllTable:
     """Exponent table of image orders over prime-power reductions.
@@ -323,7 +311,11 @@ def mult_order_ell_table(a: int, primes: tuple[int, ...] | list[int], depth: int
     """Exponent table of the cyclic group <a> inside the unit groups.
 
     rows[j][k-1] is the p_j-adic valuation of the multiplicative order
-    of a mod p_j^k; orders[j] is the order of a mod p_j.
+    of a mod p_j^k; orders[j] is the order o of a mod p_j.  The kernel
+    of (Z/p^k)* -> (Z/p)* is a p-group (p = 2 included) and o is prime
+    to p, so the order mod p^k is o * p^e with e the number of p-th
+    powerings x -> x^p that take x = a^o to 1 mod p^k.  One order per
+    prime and one pass of powerings mod p^depth give the whole row.
     """
     if abs(a) < 2:
         raise ValueError(f"need |a| >= 2, got {a}")
@@ -336,11 +328,18 @@ def mult_order_ell_table(a: int, primes: tuple[int, ...] | list[int], depth: int
     rows = []
     orders = []
     for p in ps:
+        o = multiplicative_order(a, p)
+        top = p**depth
+        x = pow(a, o, top)
+        e = 0
         row = []
         for k in range(1, depth + 1):
-            row.append(_valuation(multiplicative_order(a, p**k), p))
+            while (x - 1) % p**k:
+                x = pow(x, p, top)
+                e += 1
+            row.append(e)
         rows.append(tuple(row))
-        orders.append(multiplicative_order(a, p))
+        orders.append(o)
     return EllTable(n=1, primes=ps, rows=tuple(rows), orders=tuple(orders))
 
 

@@ -1,8 +1,8 @@
 """Prime generation, consecutive-gap verification, and lcm chains.
 
-Deterministic throughout: a bytearray sieve for modest bounds, a
-segmented sieve above that (workable to about 1e8), and Miller-Rabin
-for spot checks.  psi_k, the least odd composite that is a strong
+Deterministic throughout: one segmented sieve for every bound (memory
+bounded by the segment, workable to about 1e8), and Miller-Rabin for
+spot checks.  psi_k, the least odd composite that is a strong
 probable prime to each of the first k prime bases, is published for
 k <= 13 (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
 Comp. 86, 2017), so the first k primes are exact witnesses below psi_k.
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
 
-_MONOLITHIC_LIMIT = 1 << 24
 _SEGMENT = 1 << 20
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -71,32 +69,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _sieve_flags(n: int) -> bytearray:
-    """flags[i] == 1 iff i is prime, for 0 <= i <= n."""
-    flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytes(len(range(start, n + 1, p)))
-    return flags
-
-
 def iter_primes(bound: int) -> Iterator[int]:
     """Yield the primes <= bound in increasing order.
 
-    Uses one flat sieve up to 2**24 and fixed-size segments beyond, so
-    memory stays bounded for large scans.
+    Sieves fixed-size segments from 2 upward with the base primes up to
+    isqrt(bound), which this routine yields for itself first, so memory
+    stays bounded by one segment for any bound.
     """
     if bound < 2:
         return
-    if bound <= _MONOLITHIC_LIMIT:
-        yield from compress(range(bound + 1), _sieve_flags(bound))
-        return
-    root = math.isqrt(bound)
-    base = list(compress(range(root + 1), _sieve_flags(root)))
-    yield from base
-    lo = root + 1
+    base = list(iter_primes(math.isqrt(bound)))
+    lo = 2
     while lo <= bound:
         hi = min(lo + _SEGMENT, bound + 1)
         seg = bytearray([1]) * (hi - lo)
@@ -109,22 +92,11 @@ def iter_primes(bound: int) -> Iterator[int]:
         lo = hi
 
 
-@dataclass(frozen=True)
-class PrimeSeq:
-    """The complete increasing sequence of primes below a bound."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-
-def primes_upto(bound: int) -> PrimeSeq:
+def primes_upto(bound: int) -> tuple[int, ...]:
     """All primes <= bound, bound >= 2."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    return PrimeSeq(bound=bound, primes=tuple(iter_primes(bound)))
+    return tuple(iter_primes(bound))
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -1,15 +1,21 @@
-"""Brute-force enumeration oracles for the matrix-group order formulas.
+"""Independent oracles for resavg.linear.
 
-They count matrices over Z/m one by one, so every closed form in
-resavg.linear is checked against a direct count at desk scale.
+Brute-force enumeration counts matrices over Z/m one by one, so every
+closed form is checked against a direct count at desk scale.  The
+per-depth exponent rows and the pairwise gap-ratio loop are the former
+production paths, kept as oracles for the one-order-per-prime table and
+the verdict read off sl_ratio_scan.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
-from resavg.primes import is_prime
+from resavg.linear import multiplicative_order, sl_order
+from resavg.primes import first_primes, is_prime
+from resavg.tower import as_fraction
 
 ENUMERATION_LIMIT = 10**8
 
@@ -84,3 +90,27 @@ def brute_force_order_mod(n: int, p: int, k: int, det_one: bool) -> int:
     if k < 1:
         raise ValueError("k must be at least 1")
     return _enumerate_order(n, p**k, det_one)
+
+
+def valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ell_row_per_depth(a: int, p: int, depth: int) -> tuple[int, ...]:
+    """p-adic valuation of the order of a mod p^k, one full order per depth."""
+    return tuple(valuation(multiplicative_order(a, p**k), p) for k in range(1, depth + 1))
+
+
+def gap_ratio_limit_pairwise(n: int, levels: int, slack) -> bool:
+    """The former gap_ratio_limit_check: every order, one cross-product per pair."""
+    bound = (Fraction(2) ** (n * n - 1)) * (1 + as_fraction(slack))
+    orders = [sl_order(n, p) for p in first_primes(levels)]
+    for j in range(max(1, levels // 2), levels):
+        # pair (p_j, p_{j+1}), 1-indexed
+        if orders[j] * bound.denominator > orders[j - 1] * bound.numerator:
+            return False
+    return True

@@ -199,6 +199,19 @@ class TestSubcommands:
         )
         assert report["order"] == "96"
 
+    @pytest.mark.parametrize(
+        "p,argv",
+        [
+            (6, ("order", "--group", "sl", "--n", "2", "--q", "6", "--mod-power", "2")),
+            (4, ("order", "--group", "sl", "--n", "2", "--q", "4", "--mod-power", "2")),
+            (4, ("slzp", "--n", "2", "--p", "4", "--levels", "3")),
+        ],
+    )
+    def test_non_prime_p_over_a_prime_power_ring_is_domain_error(self, capsys, p, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        assert report["error"] == {"type": "InvalidPrimePower", "message": f"p must be prime, got {p}"}
+
     def test_order_over_a_large_prime_field(self, capsys):
         q = 1000000000000000003
         code, report = run_json(capsys, "order", "--group", "sl", "--n", "2", "--q", str(q), "--quiet")
@@ -222,6 +235,20 @@ class TestSubcommands:
     def test_zeta_indices(self, capsys):
         code, report = run_json(capsys, "zeta", "--indices", "2", "--s", "1", "--quiet")
         assert report["value"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta", "--s", "2"),
+            ("zeta", "--indices", "2", "--tower", "t.json", "--s", "2"),
+        ],
+    )
+    def test_zeta_needs_exactly_one_source(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--tower" in captured.err and "--indices" in captured.err
 
     def test_zeta_rejects_duplicates(self, capsys):
         code, out = run(capsys, "zeta", "--indices", "2,2", "--s", "1")

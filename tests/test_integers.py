@@ -55,7 +55,7 @@ class TestDivisibilityFunctions:
             assert d_p(m, 3) == d_p(-m, 3)
 
     def test_brute_force_scans(self):
-        primes = primes_upto(200).primes
+        primes = primes_upto(200)
         for m in range(1, 10**5 + 1):
             expected_full = next(n for n in range(2, m + 2) if m % n)
             assert d_full(m) == expected_full

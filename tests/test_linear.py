@@ -35,7 +35,12 @@ from resavg.linear import (
 )
 from resavg.primes import first_primes, iter_primes
 from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
-from oracles import brute_force_order, brute_force_order_mod
+from oracles import (
+    brute_force_order,
+    brute_force_order_mod,
+    ell_row_per_depth,
+    gap_ratio_limit_pairwise,
+)
 from test_primes import PSI_12
 
 
@@ -66,6 +71,15 @@ class TestOrders:
     def test_prime_power_orders_match_enumeration(self, n, p, k):
         assert order_mod_pk(n, p, k, det_one=True) == brute_force_order_mod(n, p, k, det_one=True)
         assert order_mod_pk(n, p, k, det_one=False) == brute_force_order_mod(n, p, k, det_one=False)
+
+    def test_non_prime_p_is_invalid_prime_power(self):
+        # the same typed error as sl_order and gl_order on a non-prime-power q
+        for p in (1, 4, 6):
+            for det_one in (True, False):
+                with pytest.raises(InvalidPrimePower, match=f"p must be prime, got {p}"):
+                    order_mod_pk(2, p, 2, det_one=det_one)
+        with pytest.raises(ValueError):
+            order_mod_pk(2, 5, 0, det_one=True)
 
     def test_depth_one_reduces_to_field_case(self):
         assert order_mod_pk(2, 5, 1, det_one=True) == sl_order(2, 5)
@@ -140,6 +154,14 @@ class TestSlPrimeTower:
         assert gap_ratio_limit_check(3, 50, Fraction(5, 100)) is True
         # shrinking the bound below the mid-range ratios flips the verdict
         assert gap_ratio_limit_check(2, 10, Fraction(-4, 5)) is False
+        with pytest.raises(ValueError):
+            gap_ratio_limit_check(2, 9, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("levels", [10, 11, 17, 50, 101])
+    def test_gap_ratio_limit_matches_pairwise_loop(self, n, levels):
+        for slack in (Fraction(-4, 5), Fraction(-1, 2), 0, Fraction(1, 100), Fraction(5, 100), 1):
+            assert gap_ratio_limit_check(n, levels, slack) is gap_ratio_limit_pairwise(n, levels, slack)
 
     def test_ratio_scan_window(self):
         best, pair = sl_ratio_scan(2, 100, 10**4)
@@ -222,6 +244,28 @@ class TestMultiplicativeOrders:
         table7 = mult_order_ell_table(2, (7,), 2)
         assert table7.rows[0] == (0, 1)
         assert table7.orders == (3,)
+
+    def test_ell_rows_at_two(self):
+        # a = 5 (1 mod 4) and a = 3 (3 mod 4) climb at different depths
+        assert mult_order_ell_table(5, (2,), 6).rows[0] == (0, 0, 1, 2, 3, 4)
+        assert mult_order_ell_table(3, (2,), 6).rows[0] == (0, 1, 1, 2, 3, 4)
+        assert mult_order_ell_table(-3, (2,), 6).rows[0] == (0, 0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("a", [a for a in range(-30, 31) if abs(a) >= 2])
+    def test_ell_rows_match_per_depth_orders(self, a):
+        # depth 6 over the first 25 primes, depth 3 at the Wieferich primes 1093, 3511
+        for primes, depth in ((first_primes(25), 6), ((1093, 3511), 3)):
+            ps = tuple(p for p in primes if a % p)
+            table = mult_order_ell_table(a, ps, depth)
+            assert table.rows == tuple(ell_row_per_depth(a, p, depth) for p in ps)
+            assert table.orders == tuple(multiplicative_order(a, p) for p in ps)
+
+    @pytest.mark.parametrize("a", [-2, 2, 3, 10])
+    def test_ell_rows_at_a_six_digit_prime(self, a):
+        p = 1006003
+        table = mult_order_ell_table(a, (p,), 3)
+        assert table.rows == (ell_row_per_depth(a, p, 3),)
+        assert table.orders == (multiplicative_order(a, p),)
 
     def test_coprimality_guard(self):
         with pytest.raises(CoprimalityViolation):

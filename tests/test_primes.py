@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resavg.primes import (
-    PrimeSeq,
     bertrand_verify,
     first_primes,
     is_prime,
@@ -90,22 +89,40 @@ def is_prime_power(n):
 
 class TestPrimesUpto:
     def test_examples(self):
-        assert primes_upto(10).primes == (2, 3, 5, 7)
-        assert primes_upto(2).primes == (2,)
-        assert primes_upto(30).primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+        assert primes_upto(10) == (2, 3, 5, 7)
+        assert primes_upto(2) == (2,)
+        assert primes_upto(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
     def test_agrees_with_trial_division(self):
         rng = random.Random(7)
         bounds = [2, 3, 4, 100, 1000] + [rng.randint(2, 10**5) for _ in range(5)] + [10**5]
         for bound in bounds:
-            assert list(primes_upto(bound).primes) == trial_division_primes(bound)
+            assert list(primes_upto(bound)) == trial_division_primes(bound)
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             primes_upto(1)
 
+    def test_every_small_bound_matches_trial_division(self):
+        # bounds 0 and 1 give nothing; each larger bound is one short segment
+        ps = trial_division_primes(3000)
+        for bound in range(3001):
+            assert list(iter_primes(bound)) == [p for p in ps if p <= bound], bound
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_windows_around_segment_edges(self, m):
+        # segments start at 2, so the m-th edge is 2 + m * 2**20
+        edge = 2 + m * (1 << 20)
+        lo, hi = edge - 2000, edge + 2000
+        got = [p for p in iter_primes(hi) if p >= lo]
+        assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    def test_prime_count_to_ten_million(self):
+        # pi(10^7) = 664,579, the published value
+        assert sum(1 for _ in iter_primes(10**7)) == 664579
+
     def test_segmented_path_matches_miller_rabin(self):
-        # force the segmented branch by sieving past the monolithic limit
+        # sixteen full segments, then a short one past 2**24
         limit = 1 << 24
         bound = limit + 2000
         got = [p for p in iter_primes(bound) if p > limit]
