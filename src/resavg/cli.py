@@ -383,13 +383,29 @@ def _cmd_ave(args) -> tuple[dict, list, IndexTower]:
     return results, warnings, t
 
 
+def _index_values(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _index_list(text: str) -> str:
+    """argparse type of --indices: a bad list is a usage error at parse time.
+
+    The text itself is kept, so the report echoes it as given.
+    """
+    try:
+        _index_values(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
 def _cmd_zeta(args) -> tuple[dict, list, None]:
     if args.tower is not None:
         t = read_tower(args.tower)
         pool = sorted(set(t.d))
         source = t.name
     else:
-        parts = [int(x) for x in args.indices.split(",") if x.strip()]
+        parts = _index_values(args.indices)
         if len(parts) != len(set(parts)):
             raise SchemaError("indices must be distinct")
         pool = sorted(parts)
@@ -542,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zeta", _cmd_zeta, "partial index zeta sum of a tower or explicit index set")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--tower")
-    source.add_argument("--indices", help="comma-separated distinct indices")
+    source.add_argument("--indices", type=_index_list, help="comma-separated distinct indices")
     p.add_argument("--s", type=as_fraction, required=True)
     p.add_argument("--terms", type=int)
 

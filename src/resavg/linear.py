@@ -22,7 +22,7 @@ from .errors import (
     InvalidPrimePower,
     TableExhausted,
 )
-from .primes import first_primes, is_prime, iter_primes
+from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime, iter_primes
 from .tower import IndexTower, RationalLike, as_fraction, running_product
 
 
@@ -83,12 +83,22 @@ def _iroot(q: int, k: int) -> int:
 def _prime_power_base(q: int) -> tuple[int, int]:
     """(p, k) with q = p**k, or InvalidPrimePower naming q.
 
-    Only prime k <= log2 q need a root, since an r**k with k composite
-    is also an r**(k/m)-th power for a prime m | k; an exact root settles
+    A q with a factor p among the Miller-Rabin witness primes (up to 41)
+    is a prime power iff dividing out p leaves 1.  Any other q needs a
+    root for prime k <= log2 q only, since an r**k with k composite is
+    also an r**(k/m)-th power for a prime m | k; an exact root settles
     the question, as q is a prime power iff that root is.
     """
     if is_prime(q):
         return q, 1
+    for p in _MR_WITNESSES if q > 1 else ():
+        if q % p == 0:
+            rest, k = q // p, 1
+            while rest % p == 0:
+                rest, k = rest // p, k + 1
+            if rest == 1:
+                return p, k
+            raise InvalidPrimePower(f"{q} is not a prime power")
     for k in filter(is_prime, range(2, max(q, 1).bit_length())):
         r = _iroot(q, k)
         if r**k == q:
@@ -167,19 +177,31 @@ def gap_ratio_limit_check(n: int, levels: int, slack: RationalLike) -> bool:
 def sl_ratio_scan(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, int]]:
     """Max |SL(n,F_q)|/|SL(n,F_p)| over consecutive primes in [lo, hi].
 
-    One order per prime; pairs are compared to the running best num/den
-    by integer cross-products, and the first maximal pair is the witness.
+    Pairs are compared to the running best num/den by integer
+    cross-products, and the first maximal pair is the witness; a window
+    with fewer than two primes gives (0, (0, 0)).  With e = n^2 - 1,
+    |SL(n,F_q)| < q^e and |SL(n,F_p)| >= p^e (1 - p^-2)^(n-1), so a pair
+    can win only if q^e * den * p^(2(n-1)) > num * p^e * (p^2 - 1)^(n-1).
+    The least such q is an integer root plus one, and only gaps reaching
+    it are visited (primes._wide_gaps); the other pairs need no order.
     """
     num, den = 0, 1
     witness = (0, 0)
-    prev = prev_order = 0
-    for p in iter_primes(hi):
-        if p < lo:
-            continue
-        order = sl_order(n, p)
-        if prev and order * den > num * prev_order:
-            num, den, witness = order, prev_order, (prev, p)
-        prev, prev_order = p, order
+    e = n * n - 1
+
+    def min_gap(p: int) -> int:
+        if not num:
+            return 1
+        if e == 0:  # every |SL(1, F_q)| is 1: nothing beats the first pair
+            return hi
+        # the least q with q^e * b > a is iroot(a // b, e) + 1
+        m = num * p**e * (p * p - 1) ** (n - 1) // (den * p ** (2 * (n - 1)))
+        return max((_iroot(m, e) if m else 0) + 1 - p, 1)
+
+    for p, q in _wide_gaps(lo, hi, min_gap):
+        order_p, order_q = sl_order(n, p), sl_order(n, q)
+        if order_q * den > num * order_p:
+            num, den, witness = order_q, order_p, (p, q)
     return Fraction(num, den), witness
 
 

@@ -9,6 +9,12 @@ Comp. 86, 2017), so the first k primes are exact witnesses below psi_k.
 is_prime runs the shortest such prefix for n: two bases below
 1,373,653, all 13 at or above psi_12, exact below
 psi_13 = 3317044064679887385961981, a strong probable-prime test above.
+
+Maximum-ratio scans over consecutive primes visit only the gaps wide
+enough to beat the running best num/den.  A pair (p, q) can win only if
+q - p >= min_gap(p), a bound fixed by p and the best so far: for q/p it
+is floor(p(num - den)/den) + 1.  bytearray.find on the sieve flags
+jumps straight to the next run of min_gap(p) - 1 composites.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator
+from typing import Callable, Iterator
 
 _SEGMENT = 1 << 20
 
@@ -69,27 +75,67 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def iter_primes(bound: int) -> Iterator[int]:
-    """Yield the primes <= bound in increasing order.
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+    """Sieve [max(lo, 2), hi] in blocks of at most _SEGMENT numbers.
 
-    Sieves fixed-size segments from 2 upward with the base primes up to
-    isqrt(bound), which this routine yields for itself first, so memory
-    stays bounded by one segment for any bound.
+    Yields (start, flags) with flags[i] == 1 iff start + i is prime.  The
+    base primes up to isqrt(hi) come from iter_primes, which sieves them
+    the same way, so memory stays bounded by one block for any bound.
     """
-    if bound < 2:
+    lo = max(lo, 2)
+    if hi < lo:
         return
-    base = list(iter_primes(math.isqrt(bound)))
-    lo = 2
-    while lo <= bound:
-        hi = min(lo + _SEGMENT, bound + 1)
-        seg = bytearray([1]) * (hi - lo)
+    base = list(iter_primes(math.isqrt(hi)))
+    while lo <= hi:
+        top = min(lo + _SEGMENT, hi + 1)
+        flags = bytearray([1]) * (top - lo)
         for p in base:
-            if p * p >= hi:
+            if p * p >= top:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            seg[start - lo :: p] = bytes(len(range(start, hi, p)))
-        yield from compress(range(lo, hi), seg)
-        lo = hi
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = bytes(len(range(start, top, p)))
+        yield lo, flags
+        lo = top
+
+
+def iter_primes(bound: int) -> Iterator[int]:
+    """Yield the primes <= bound in increasing order."""
+    for lo, flags in _segments(2, bound):
+        yield from compress(range(lo, lo + len(flags)), flags)
+
+
+def _wide_gaps(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """Consecutive primes p < q in [lo, hi] with q - p >= min_gap(p) >= 1.
+
+    p runs from the first prime >= lo.  min_gap is read again after every
+    pair yielded, and between yields it must not decrease along the
+    primes: from a prime p the walk jumps to the first run of
+    min_gap(p) - 1 composites (bytearray.find on the sieve flags), since
+    no narrower gap in between can reach min_gap of its own left prime.
+    The needle is capped at the block length; a run too long for the
+    block leaves its last prime to be paired across the block edge.
+    """
+    p = 0
+    for start, flags in _segments(lo, hi):
+        i = 0
+        if not p:
+            i = flags.find(1)
+            if i < 0:
+                continue
+            p = start + i
+            i += 1
+        while (j := flags.find(1, i)) >= 0:
+            if start + j - p >= min_gap(p):
+                yield p, start + j
+            p, i = start + j, j + 1
+            k = flags.find(bytes(min(min_gap(p) - 1, len(flags))), i)
+            # the last prime before that run, or in the block if it has none
+            r = flags.rfind(1, i, len(flags) if k < 0 else k)
+            if r >= 0:
+                p = start + r
+            if k < 0:
+                break
+            i = k
 
 
 def primes_upto(bound: int) -> tuple[int, ...]:
@@ -122,20 +168,23 @@ def bertrand_verify(bound: int) -> tuple[Fraction, tuple[int, int]]:
     """Largest ratio between consecutive primes up to `bound`.
 
     Returns (max_ratio, (p, q)) where q/p attains the maximum over all
-    consecutive prime pairs p < q <= bound.  The classical gap bound
-    says this never exceeds 2; callers assert that rather than assume it.
+    consecutive prime pairs p < q <= bound, the first such pair as the
+    witness.  The classical gap bound says this never exceeds 2; callers
+    assert that rather than assume it.
+
+    A pair beats the running best num/den iff q*den > num*p, that is iff
+    q - p > p(num - den)/den.  So only gaps of at least
+    floor(p(num - den)/den) + 1 are visited (_wide_gaps), each of which
+    is a new best; the rest of the sieve is skipped.
     """
     if bound < 3:
         raise ValueError(f"bound must be at least 3, got {bound}")
-    best_num, best_den = 0, 1
-    best_pair = (0, 0)
-    prev = 0
-    for p in iter_primes(bound):
-        if prev and p * best_den > best_num * prev:
-            best_num, best_den = p, prev
-            best_pair = (prev, p)
-        prev = p
-    return Fraction(best_num, best_den), best_pair
+    # 1/1 is below every q/p, so (2, 3) always replaces it.
+    num, den = 1, 1
+    pair = (0, 0)
+    for p, q in _wide_gaps(2, bound, lambda p: p * (num - den) // den + 1):
+        num, den, pair = q, p, (p, q)
+    return Fraction(num, den), pair
 
 
 _LCM_CHAIN = [1, 1]

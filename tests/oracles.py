@@ -2,9 +2,10 @@
 
 Brute-force enumeration counts matrices over Z/m one by one, so every
 closed form is checked against a direct count at desk scale.  The
-per-depth exponent rows and the pairwise gap-ratio loop are the former
-production paths, kept as oracles for the one-order-per-prime table and
-the verdict read off sl_ratio_scan.
+per-depth exponent rows, the pairwise gap-ratio loop and the per-prime
+ratio loops are the former production paths, kept as oracles for the
+one-order-per-prime table, the verdict read off sl_ratio_scan, and the
+gap-skipping scans.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from resavg.linear import multiplicative_order, sl_order
-from resavg.primes import first_primes, is_prime
+from resavg.primes import first_primes, is_prime, iter_primes
 from resavg.tower import as_fraction
 
 ENUMERATION_LIMIT = 10**8
@@ -114,3 +115,31 @@ def gap_ratio_limit_pairwise(n: int, levels: int, slack) -> bool:
         if orders[j] * bound.denominator > orders[j - 1] * bound.numerator:
             return False
     return True
+
+
+def bertrand_loop(bound: int) -> tuple[Fraction, tuple[int, int]]:
+    """The former bertrand_verify: one cross-product per consecutive pair."""
+    best_num, best_den = 0, 1
+    best_pair = (0, 0)
+    prev = 0
+    for p in iter_primes(bound):
+        if prev and p * best_den > best_num * prev:
+            best_num, best_den = p, prev
+            best_pair = (prev, p)
+        prev = p
+    return Fraction(best_num, best_den), best_pair
+
+
+def sl_ratio_scan_loop(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, int]]:
+    """The former sl_ratio_scan: one order per prime, one cross-product per pair."""
+    num, den = 0, 1
+    witness = (0, 0)
+    prev = prev_order = 0
+    for p in iter_primes(hi):
+        if p < lo:
+            continue
+        order = sl_order(n, p)
+        if prev and order * den > num * prev_order:
+            num, den, witness = order, prev_order, (prev, p)
+        prev, prev_order = p, order
+    return Fraction(num, den), witness

@@ -250,6 +250,14 @@ class TestSubcommands:
         assert captured.out == ""
         assert "--tower" in captured.err and "--indices" in captured.err
 
+    @pytest.mark.parametrize("indices", ["1,x", "2,1.5"])
+    def test_zeta_bad_index_is_usage_error(self, capsys, indices):
+        code = main(["zeta", "--indices", indices, "--s", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "argument --indices" in captured.err and "invalid literal" not in captured.err
+
     def test_zeta_rejects_duplicates(self, capsys):
         code, out = run(capsys, "zeta", "--indices", "2,2", "--s", "1")
         assert code == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,13 +34,15 @@ from resavg.linear import (
     verify_power_windows,
     wieferich_test,
 )
-from resavg.primes import first_primes, iter_primes
+from resavg import primes
+from resavg.primes import first_primes, is_prime, iter_primes
 from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
 from oracles import (
     brute_force_order,
     brute_force_order_mod,
     ell_row_per_depth,
     gap_ratio_limit_pairwise,
+    sl_ratio_scan_loop,
 )
 from test_primes import PSI_12
 
@@ -158,7 +161,7 @@ class TestSlPrimeTower:
             gap_ratio_limit_check(2, 9, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("levels", [10, 11, 17, 50, 101])
+    @pytest.mark.parametrize("levels", [10, 11, 17, 50, 101, 300])
     def test_gap_ratio_limit_matches_pairwise_loop(self, n, levels):
         for slack in (Fraction(-4, 5), Fraction(-1, 2), 0, Fraction(1, 100), Fraction(5, 100), 1):
             assert gap_ratio_limit_check(n, levels, slack) is gap_ratio_limit_pairwise(n, levels, slack)
@@ -168,10 +171,33 @@ class TestSlPrimeTower:
         assert 1 < best <= Fraction(42, 5)
         assert 100 <= pair[0] < pair[1] <= 10**4
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("lo,hi", [(100, 10**4), (2, 50), (90, 100), (24, 28), (50, 10)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (100, 10**4),
+            (2, 50),
+            (90, 100),
+            (24, 28),
+            (50, 10),
+            # around the block edges 2 + m * 2**20 of iter_primes
+            (2 + 2**20 - 3000, 2 + 2**20 + 3000),
+            (2 + 2 * 2**20 - 500, 2 + 2 * 2**20 + 500),
+            # lo inside the prime gaps 1327..1361 and 2010733..2010881
+            (1340, 2500),
+            (2010800, 2012000),
+            (97, 97),
+            (100, 100),
+            (10**6, 10),
+            (1328, 1361),
+            (1328, 1360),
+            (2, 3),
+        ],
+    )
     def test_ratio_scan_matches_pairwise_fractions(self, n, lo, hi):
-        # (90, 100) holds the one prime 97; (24, 28) none; (50, 10) is reversed
+        # (90, 100) and (1328, 1361) hold one prime; (24, 28) and (1328, 1360)
+        # none; (97, 97) and (100, 100) have lo == hi; (50, 10) is reversed
+        assert sl_ratio_scan(n, lo, hi) == sl_ratio_scan_loop(n, lo, hi)
         assert sl_ratio_scan(n, lo, hi) == sl_ratio_scan_pairwise(n, lo, hi)
 
     def test_ratio_scan_without_a_pair(self):
@@ -180,6 +206,53 @@ class TestSlPrimeTower:
 
     def test_ratio_scan_to_a_million(self):
         assert sl_ratio_scan(2, 100, 10**6) == (Fraction(3048, 2147), (113, 127))
+
+
+class TestRatioScanGapSkips:
+    """The gap-skipping scan against the per-prime loop it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seeded_windows(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            lo = rng.randint(2, 3 * 10**6 - 5000)
+            hi = lo + rng.choice([60, 600, 5000])
+            assert sl_ratio_scan(n, lo, hi) == sl_ratio_scan_loop(n, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("segment", [1, 3, 16, 100])
+    def test_tiny_blocks(self, monkeypatch, segment):
+        # gaps cross block edges, and most needles outgrow a block
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        rng = random.Random(segment)
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            lo = rng.randint(-3, 3000)
+            hi = lo + rng.randint(-10, 600)
+            assert sl_ratio_scan(n, lo, hi) == sl_ratio_scan_loop(n, lo, hi), (n, lo, hi)
+
+    def test_dimension_one_keeps_the_first_pair(self):
+        # every |SL(1, F_q)| is 1: the gap needed is unreachable, and its
+        # needle is capped at one block
+        for lo, hi in [(2, 3 * 10**6), (2010800, 2010800 + 2**21)]:
+            p = next(x for x in range(lo, hi) if is_prime(x))
+            q = next(x for x in range(p + 1, hi) if is_prime(x))
+            assert sl_ratio_scan(1, lo, hi) == (Fraction(1), (p, q))
+
+    def test_needle_stays_within_one_block(self):
+        # n = 1 asks for an unreachable gap: searching for it must not
+        # allocate more than a block
+        tracemalloc.start()
+        try:
+            assert sl_ratio_scan(1, 2, 8 * 2**20) == (Fraction(1), (2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_bad_dimension_still_raises(self):
+        with pytest.raises(ValueError):
+            sl_ratio_scan(0, 2, 100)
+        assert sl_ratio_scan(0, 24, 28) == (Fraction(0), (0, 0))
 
 
 def sl_ratio_scan_pairwise(n, lo, hi):

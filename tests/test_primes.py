@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bertrand_loop
+from resavg import primes
 from resavg.primes import (
     bertrand_verify,
     first_primes,
@@ -159,6 +161,25 @@ class TestBertrand:
     def test_gap_bound_holds(self):
         ratio, _ = bertrand_verify(10**5)
         assert ratio <= 2
+
+    def test_every_bound_matches_the_per_prime_loop(self):
+        # The loop's best only grows with the bound and keeps its first
+        # maximal pair, so equal answers at 5 and 20000 pin every bound between.
+        loop = {bound: bertrand_loop(bound) for bound in (3, 4, 5, 20000)}
+        assert loop[5] == loop[20000]
+        for bound in range(3, 20001):
+            assert bertrand_verify(bound) == loop[min(bound, 5)], bound
+
+    def test_ten_million_matches_the_per_prime_loop(self):
+        # from p ~ 1.6e6 on the gap needed (> 2p/3) is longer than a block
+        assert bertrand_verify(10**7) == bertrand_loop(10**7)
+
+    @pytest.mark.parametrize("segment", [1, 2, 5, 64])
+    def test_tiny_blocks_match_the_per_prime_loop(self, monkeypatch, segment):
+        # most gaps then cross a block edge, and most needles outgrow a block
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        for bound in (*range(3, 200), 1000, 4327, 5000):
+            assert bertrand_verify(bound) == bertrand_loop(bound), bound
 
 
 class TestLcm:
