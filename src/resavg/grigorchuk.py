@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import InsufficientLevels, LevelTooDeep
 from .linear import order_mod_pk
-from .tower import IndexTower
+from .tower import IndexTower, running_product
 
 GENERATORS = "abcd"
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
@@ -228,11 +228,12 @@ def slnzp_tower(n: int, p: int, levels: int) -> IndexTower:
     """Nested congruence tower of the p-adic special linear group.
 
     The finite-index normal subgroups are the mod-p^j kernels, so
-    d[j] = l[j] = |SL(n, Z/p^j)|.
+    d[j] = l[j] = |SL(n, Z/p^j)|, each p^(n^2 - 1) times the one before.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if levels < 1:
         raise ValueError("levels must be positive")
-    orders = tuple(order_mod_pk(n, p, j, det_one=True) for j in range(1, levels + 1))
+    first = order_mod_pk(n, p, 1, det_one=True)
+    orders = running_product((first,) + (p ** (n * n - 1),) * (levels - 1))
     return IndexTower(name=f"SL({n},Z_{p})({levels})", d=orders, l=orders)

@@ -195,5 +195,5 @@ def tower_prime_powers(p: int, levels: int) -> IndexTower:
         raise ValueError(f"p must be prime, got {p}")
     if levels < 1:
         raise ValueError("levels must be positive")
-    powers = tuple(p**k for k in range(1, levels + 1))
+    powers = running_product((p,) * levels)
     return IndexTower(name=f"Z-prime-powers({p},{levels})", d=powers, l=powers)

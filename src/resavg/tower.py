@@ -62,7 +62,8 @@ class IndexTower:
     subgroup lattice would force are checked lazily by decompose() and
     levels(), which raise InconsistentTower on data that cannot arise
     from one; this allows deliberately broken towers to be built and
-    diagnosed.
+    diagnosed.  The coefficient pass runs once, on first use, and is kept
+    outside the fields, so equality, hashing and repr ignore it.
     """
 
     name: str
@@ -160,31 +161,49 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
     return LevelDecomposition(r=r, s=s, t=t)
 
 
+def _pass(tower: IndexTower) -> tuple[tuple[LevelDecomposition, ...], str | None]:
+    """The levels up to the first inconsistent one, and its InconsistentTower
+    message (or None), computed on first use and kept on the instance.  The
+    pass is pure, so threads that race here store equal values."""
+    if "_pass" not in tower.__dict__:
+        out, error, lprev = [], None, 1
+        try:
+            for j, (dj, lj) in enumerate(zip(tower.d, tower.l), start=1):
+                out.append(_coefficients(tower.name, j, dj, lprev, lj))
+                lprev = lj
+        except InconsistentTower as exc:
+            error = str(exc)
+        object.__setattr__(tower, "_pass", (tuple(out), error))
+    return tower.__dict__["_pass"]
+
+
 def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
     """Exact (r, s, t) at level j.
 
     s = l[j]/l[j-1], t = l[j]/d[j], r = d[j]*l[j-1]/l[j].  Raises
     InconsistentTower when any of the three quotients is non-integral,
     which is the signal that (d, l) cannot come from a subgroup lattice.
+    A level past the first inconsistent one is decomposed on its own.
     """
     _check_level(tower, j)
+    prefix, _ = _pass(tower)
+    if j <= len(prefix):
+        return prefix[j - 1]
     return _coefficients(tower.name, j, tower.d_at(j), tower.l_at(j - 1), tower.l_at(j))
 
 
 def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecomposition]:
-    """(r, s, t) at levels 1..count (all levels by default), in one pass.
+    """(r, s, t) at levels 1..count (all levels by default), from the one pass.
 
     Equal to [decompose(tower, j) for j in 1..count], and raises the same
     InconsistentTower at the first inconsistent level.
     """
     count = len(tower) if count is None else count
     _check_prefix(tower, count)
-    out = []
-    lprev = 1
-    for j, (dj, lj) in enumerate(zip(tower.d[:count], tower.l[:count]), start=1):
-        out.append(_coefficients(tower.name, j, dj, lprev, lj))
-        lprev = lj
-    return out
+    prefix, error = _pass(tower)
+    if count > len(prefix):
+        raise InconsistentTower(error)
+    return list(prefix[:count])
 
 
 def ave_terms(tower: IndexTower, terms: int | None = None) -> list[Fraction]:

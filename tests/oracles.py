@@ -1,11 +1,13 @@
-"""Independent oracles for resavg.linear.
+"""Independent oracles for resavg.linear and the tower coefficient pass.
 
 Brute-force enumeration counts matrices over Z/m one by one, so every
 closed form is checked against a direct count at desk scale.  The
 per-depth exponent rows, the pairwise gap-ratio loop and the per-prime
 ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
-gap-skipping scans.
+gap-skipping scans.  The per-call coefficient loop and the single-level
+decomposition are the former levels() and decompose(), kept as oracles
+for the pass an IndexTower computes once and keeps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import permutations, product
 
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
-from resavg.tower import as_fraction
+from resavg.tower import IndexTower, LevelDecomposition, _coefficients, as_fraction
 
 ENUMERATION_LIMIT = 10**8
 
@@ -143,3 +145,18 @@ def sl_ratio_scan_loop(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, i
             num, den, witness = order, prev_order, (prev, p)
         prev, prev_order = p, order
     return Fraction(num, den), witness
+
+
+def levels_loop(t: IndexTower, count: int) -> list[LevelDecomposition]:
+    """(r, s, t) at levels 1..count, computed afresh on every call."""
+    out = []
+    lprev = 1
+    for j, (dj, lj) in enumerate(zip(t.d[:count], t.l[:count]), start=1):
+        out.append(_coefficients(t.name, j, dj, lprev, lj))
+        lprev = lj
+    return out
+
+
+def decompose_alone(t: IndexTower, j: int) -> LevelDecomposition:
+    """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
+    return _coefficients(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import resavg.tower
 from conftest import random_moduli_tower
 from resavg.cli import (
     CSV_COLUMNS,
@@ -354,6 +355,33 @@ class TestTowerFileCommands:
         )
         assert code == 0
         assert read_tower(path).d == (6, 24, 120)
+
+
+class TestOneCoefficientPass:
+    """A command reads its tower once and runs the coefficient pass once."""
+
+    @pytest.fixture
+    def slzp_600(self, capsys, tmp_path):
+        path = str(tmp_path / "slzp600.json")
+        code, _ = run(capsys, "slzp", "--n", "2", "--p", "2", "--levels", "600", "--out", path)
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "argv", (("ave",), ("ave", "--csv"), ("ave", "--terms", "17"), ("tower-check",), ("classify",))
+    )
+    def test_600_levels_600_calls(self, capsys, monkeypatch, slzp_600, argv):
+        calls = []
+        real = resavg.tower._coefficients
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(resavg.tower, "_coefficients", counting)
+        code, _ = run(capsys, argv[0], "--tower", slzp_600, *argv[1:])
+        assert code == 0
+        assert calls == list(range(1, 601))
 
 
 class TestTowerCheckConsistency:

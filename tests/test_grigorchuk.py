@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resavg.errors import InsufficientLevels, LevelTooDeep
+from resavg.errors import InsufficientLevels, InvalidPrimePower, LevelTooDeep
 from resavg.grigorchuk import (
     GENERATORS,
     MAX_LEVEL,
@@ -259,3 +259,26 @@ class TestSlnzpTower:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             slnzp_tower(1, 2, 3)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_running_product_matches_the_per_level_formula(self, n, p):
+        for levels in (1, 2, 9, 60):
+            t = slnzp_tower(n, p, levels)
+            orders = tuple(order_mod_pk(n, p, j, det_one=True) for j in range(1, levels + 1))
+            assert t.d == t.l == orders
+            assert t.name == f"SL({n},Z_{p})({levels})"
+
+    def test_argument_errors_keep_their_types_and_order(self):
+        for args, error in (
+            ((1, 4, 0), ValueError),
+            ((2, 4, 0), ValueError),
+            ((2, 2, 0), ValueError),
+            ((2, 2, -3), ValueError),
+            ((2, 4, 3), InvalidPrimePower),
+            ((3, 1, 1), InvalidPrimePower),
+            ((2, -5, 2), InvalidPrimePower),
+        ):
+            with pytest.raises(error) as info:
+                slnzp_tower(*args)
+            assert type(info.value) is error

@@ -244,6 +244,19 @@ class TestTowers:
         assert t.d == t.l == (2, 4, 8)
         assert is_nested(t)
 
+    def test_tower_prime_powers_match_the_per_level_power(self):
+        for p in (2, 3, 5, 7, 101):
+            for levels in (1, 2, 60):
+                t = tower_prime_powers(p, levels)
+                assert t.d == t.l == tuple(p**k for k in range(1, levels + 1))
+                assert t.name == f"Z-prime-powers({p},{levels})"
+
+    def test_tower_prime_powers_argument_errors(self):
+        for p, levels, match in ((4, 3, "prime"), (1, 3, "prime"), (4, 0, "prime"), (2, 0, "levels")):
+            with pytest.raises(ValueError, match=match) as info:
+                tower_prime_powers(p, levels)
+            assert type(info.value) is ValueError
+
     def test_cross_module_average_identity(self):
         # the full-subgroup tower reproduces the closed-form partial sums,
         # with the J-th tower level carrying divisibility value J + 1

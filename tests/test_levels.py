@@ -3,15 +3,19 @@
 levels() and the single-denominator folds over it are fast paths.  The
 oracles here are the earlier per-level code: decompose with the
 big-by-big remainder (d*l[j-1]) % l[j], and series summed one Fraction
-term at a time.
+term at a time.  The pass a tower keeps after first use is checked
+against the per-call loop it replaced (tests/oracles.py).
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resavg.tower
+from oracles import decompose_alone, levels_loop
 from resavg.errors import InconsistentTower, InsufficientData
 from resavg.tower import (
     GrowthClass,
@@ -175,3 +179,110 @@ def test_classify_is_the_verdict_of_alphas(t):
             assert got[0] == want[0]
         else:
             assert got is want
+
+
+# ---------------------------------------------------------------------------
+# the coefficient pass a tower keeps
+
+
+@st.composite
+def perturbed_towers(draw) -> IndexTower:
+    """A consistent tower with one l[j] shifted or scaled, so that later
+    levels may be consistent again after the broken one."""
+    t = draw(consistent_towers())
+    i = draw(st.integers(0, len(t) - 1))
+    l = list(t.l)
+    if draw(st.booleans()):
+        l[i] += draw(st.integers(1, 3))
+    else:
+        l[i] *= draw(st.integers(2, 6))
+    return IndexTower("perturbed", t.d, tuple(l))
+
+
+memo_towers = st.one_of(consistent_towers(), broken_towers(), perturbed_towers())
+
+
+def fresh(t: IndexTower) -> IndexTower:
+    """An equal tower that has not run its pass yet."""
+    return IndexTower(t.name, t.d, t.l)
+
+
+FILLERS = {
+    "none": lambda t, j: None,
+    "decompose": lambda t, j: decompose(t, j),
+    "levels": lambda t, j: levels(t, j - 1),
+    "fold": lambda t, j: ave_partial(t, j),
+}
+
+
+@PROPERTY
+@given(memo_towers, st.sampled_from(sorted(FILLERS)), st.data())
+def test_kept_pass_matches_the_per_call_loop(t, filler, data):
+    t = fresh(t)
+    outcome(lambda: FILLERS[filler](t, data.draw(st.integers(1, len(t)))))
+    for _ in range(2):
+        for count in range(len(t) + 1):
+            assert outcome(lambda: levels(t, count)) == outcome(lambda: levels_loop(t, count))
+        for j in range(1, len(t) + 1):
+            assert outcome(lambda: decompose(t, j)) == outcome(lambda: decompose_alone(t, j))
+
+
+@PROPERTY
+@given(memo_towers)
+def test_kept_pass_leaves_equality_hash_and_repr_alone(t):
+    filled = fresh(t)
+    outcome(lambda: levels(filled))
+    outcome(lambda: decompose(filled, len(filled)))
+    other = fresh(t)
+    assert filled == other
+    assert hash(filled) == hash(other)
+    assert repr(filled) == repr(other)
+    assert {filled: 1}[other] == 1
+
+
+@PROPERTY
+@given(consistent_towers())
+def test_mutating_a_returned_list_changes_nothing(t):
+    want = levels_loop(t, len(t))
+    got = levels(t)
+    got.reverse()
+    got.append(None)
+    got[0] = LevelDecomposition(r=0, s=0, t=0)
+    assert levels(t) == want
+    assert [decompose(t, j) for j in range(1, len(t) + 1)] == want
+    assert ave_partial(t, len(t)) == oracle_ave_partial(want)
+
+
+def test_levels_past_a_broken_level_still_decompose():
+    t = IndexTower("gap", (2, 2, 4), (2, 3, 12))
+    assert decompose(t, 1) == LevelDecomposition(r=1, s=2, t=1)
+    with pytest.raises(InconsistentTower, match="l\\[1\\] = 2 does not divide l\\[2\\] = 3"):
+        decompose(t, 2)
+    assert decompose(t, 3) == LevelDecomposition(r=1, s=4, t=3)
+    assert levels(t, 1) == [LevelDecomposition(r=1, s=2, t=1)]
+    for count in (2, 3):
+        with pytest.raises(InconsistentTower, match="l\\[1\\] = 2 does not divide l\\[2\\] = 3"):
+            levels(t, count)
+
+
+def test_every_fold_shares_one_pass(monkeypatch):
+    calls = []
+    real = resavg.tower._coefficients
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(resavg.tower, "_coefficients", counting)
+    t = IndexTower("steps", tuple(2**j for j in range(1, 41)), tuple(2**j for j in range(1, 41)))
+    for j in range(1, len(t) + 1):
+        decompose(t, j)
+    for terms in (0, 1, 20, 40):
+        ave_partial(t, terms)
+        ave_partial_product_form(t, terms)
+        measure_telescope(t, terms)
+        ave_terms(t, terms)
+    alphas(t)
+    degenerate_levels(t)
+    classify(t, window=10)
+    assert calls == list(range(1, 41))
