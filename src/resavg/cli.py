@@ -214,7 +214,7 @@ def _cmd_ave_p(args) -> tuple[dict, list, None]:
 
 
 def _cmd_density(args) -> tuple[dict, list, None]:
-    exact = integers.level_set_measure(args.n).measure
+    exact = integers.level_set_measure(args.n)
     observed = integers.empirical_density(args.n, args.upto)
     bound = Fraction(2 * primes.lcm_upto(args.n), args.upto)
     return (

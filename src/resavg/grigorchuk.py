@@ -17,33 +17,17 @@ is enumerated; nothing is imported from the literature.  Depth 6 (order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientLevels, LevelTooDeep
 from .linear import order_mod_pk
-from .tower import IndexTower, running_product
+from .tower import IndexTower, Record, running_product
 
 GENERATORS = "abcd"
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
 
 MAX_LEVEL = 6
-
-
-@dataclass(frozen=True)
-class TreeAutomorphism:
-    """A word in the generators a, b, c, d."""
-
-    word: str
-
-    def __post_init__(self) -> None:
-        bad = set(self.word) - set(GENERATORS)
-        if bad:
-            raise ValueError(f"unknown generators {sorted(bad)}; expected letters from 'abcd'")
-
-    def action(self, level: int) -> tuple[int, ...]:
-        return level_action(self, level)
 
 
 @lru_cache(maxsize=None)
@@ -72,23 +56,13 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def level_action(word: TreeAutomorphism | str, level: int) -> tuple[int, ...]:
-    """Permutation induced on the 2^level leaves, letters applied left to right."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    text = word.word if isinstance(word, TreeAutomorphism) else TreeAutomorphism(word).word
-    perm = tuple(range(1 << level))
-    for letter in text:
-        perm = _compose(perm, _generator_perm(letter, level))
-    return perm
-
-
-@dataclass(frozen=True)
-class LevelQuotient:
+class LevelQuotient(Record):
     """Order of the image of the group on one tree level."""
 
-    level: int
-    order: int
+    __slots__ = _fields = ("level", "order")
+
+    def __init__(self, level: int, order: int) -> None:
+        self._fill(level, order)
 
 
 def _chain_order(perms: list[tuple[int, ...]]) -> int:

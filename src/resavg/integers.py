@@ -18,7 +18,6 @@ ave_partial folds over the towers at the end of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -68,23 +67,15 @@ def d_p(m: int, p: int) -> int:
     return power
 
 
-@dataclass(frozen=True)
-class ZLevelSet:
-    """The set {x : d_full(x) = n} together with its Haar measure."""
-
-    n: int
-    measure: Fraction
-
-
-def level_set_measure(n: int) -> ZLevelSet:
-    """Measure 1/lcm(1..n-1) - 1/lcm(1..n) of the level set of n.
+def level_set_measure(n: int) -> Fraction:
+    """Measure 1/lcm(1..n-1) - 1/lcm(1..n) of the level set {x : d_full(x) = n}.
 
     Positive exactly when n is a prime power >= 2; every other n leaves
     the lcm chain unchanged and the set is empty.
     """
     if n < 2:
         raise ValueError(f"level sets start at n = 2, got {n}")
-    return ZLevelSet(n=n, measure=Fraction(1, lcm_upto(n - 1)) - Fraction(1, lcm_upto(n)))
+    return Fraction(1, lcm_upto(n - 1)) - Fraction(1, lcm_upto(n))
 
 
 def ave_z_partial(terms: int) -> Fraction:

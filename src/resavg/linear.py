@@ -12,8 +12,8 @@ prime so that consecutive indices land in a controlled growth window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     BoundExceeded,
@@ -23,21 +23,20 @@ from .errors import (
     TableExhausted,
 )
 from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime, iter_primes
-from .tower import IndexTower, RationalLike, as_fraction, running_product
+from .tower import IndexTower, RationalLike, Record, as_fraction, running_product
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Square integer matrix with exact arithmetic helpers."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
+        self._fill(rows)
 
     @property
     def n(self) -> int:
@@ -263,8 +262,7 @@ def _euler_phi(n: int) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class EllTable:
+class EllTable(Record):
     """Exponent table of image orders over prime-power reductions.
 
     orders[j] is the image order at depth 1 (mod p_j); rows[j][k-1] is
@@ -274,35 +272,32 @@ class EllTable:
     automatically prime to p.
     """
 
-    n: int
-    primes: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
+    __slots__ = _fields = ("n", "primes", "rows", "orders")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
-        object.__setattr__(self, "rows", tuple(tuple(int(e) for e in row) for row in self.rows))
-        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
-        if self.n < 1:
+    def __init__(
+        self, n: int, primes: Iterable[int], rows: Iterable[Iterable[int]], orders: Iterable[int]
+    ) -> None:
+        primes = tuple(int(p) for p in primes)
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        orders = tuple(int(o) for o in orders)
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not (len(self.primes) == len(self.rows) == len(self.orders)):
+        if not (len(primes) == len(rows) == len(orders)):
             raise ValueError("primes, rows, and orders must have equal length")
-        if not self.primes:
+        if not primes:
             raise ValueError("table needs at least one prime")
-        depth = len(self.rows[0])
-        if depth < 1 or any(len(row) != depth for row in self.rows):
+        depth = len(rows[0])
+        if depth < 1 or any(len(row) != depth for row in rows):
             raise ValueError("all rows must share one positive depth")
-        step = self.n * self.n
-        for j, p in enumerate(self.primes):
+        step = n * n
+        for j, p in enumerate(primes):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if j and p <= self.primes[j - 1]:
+            if j and p <= primes[j - 1]:
                 raise ValueError("primes must be strictly increasing")
-            if not 1 <= self.orders[j] < p**step:
-                raise ValueError(
-                    f"order {self.orders[j]} at prime {p} outside [1, {p}^{step})"
-                )
-            row = self.rows[j]
+            if not 1 <= orders[j] < p**step:
+                raise ValueError(f"order {orders[j]} at prime {p} outside [1, {p}^{step})")
+            row = rows[j]
             if row[0] < 0:
                 raise ValueError("exponents must be non-negative")
             for k in range(1, depth):
@@ -312,6 +307,7 @@ class EllTable:
                     raise ValueError(
                         f"exponent step exceeds n^2 = {step} (prime {p}, depth {k + 1})"
                     )
+        self._fill(n, primes, rows, orders)
 
     @property
     def depth(self) -> int:
@@ -398,8 +394,7 @@ def wieferich_test(p: int, a: int = 2) -> bool:
     return pow(a, p - 1, p * p) == 1
 
 
-@dataclass(frozen=True)
-class PowerSelectionParams:
+class PowerSelectionParams(Record):
     """Constants steering the depth selection.
 
     The bounds (N past (n^2)!, C past 4, 0 < epsilon < delta < 1/2) are
@@ -407,25 +402,22 @@ class PowerSelectionParams:
     give strictly increasing indices inside the power-gap window.
     """
 
-    n: int
-    N: int
-    C: int
-    delta: Fraction
-    epsilon: Fraction
+    __slots__ = _fields = ("n", "N", "C", "delta", "epsilon")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if self.n < 1:
+    def __init__(self, n: int, N: int, C: int, delta: RationalLike, epsilon: RationalLike) -> None:
+        delta = as_fraction(delta)
+        epsilon = as_fraction(epsilon)
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if self.N <= math.factorial(self.n * self.n):
-            raise ValueError(f"N must exceed (n^2)! = {math.factorial(self.n * self.n)}")
-        if self.C <= 4:
+        if N <= math.factorial(n * n):
+            raise ValueError(f"N must exceed (n^2)! = {math.factorial(n * n)}")
+        if C <= 4:
             raise ValueError("C must exceed 4")
-        if not Fraction(0) < self.delta < Fraction(1, 2):
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not Fraction(0) < self.epsilon < self.delta:
-            raise ValueError(f"epsilon must lie in (0, delta), got {self.epsilon}")
+        if not Fraction(0) < delta < Fraction(1, 2):
+            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+        if not Fraction(0) < epsilon < delta:
+            raise ValueError(f"epsilon must lie in (0, delta), got {epsilon}")
+        self._fill(n, N, C, delta, epsilon)
 
 
 def select_powers(table: EllTable, params: PowerSelectionParams, count: int) -> tuple[int, ...]:

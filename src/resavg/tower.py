@@ -18,7 +18,7 @@ Levels are 1-indexed in every public signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -53,8 +53,47 @@ def _show(n: int) -> str:
         return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
 
 
-@dataclass(frozen=True)
-class IndexTower:
+class Record:
+    """Immutable record with the ==, hash and repr of a frozen dataclass.
+
+    A subclass lists its fields in `_fields` and `__slots__` and sets them
+    in its own __init__ by _fill; copies and pickles rebuild through it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key(self)
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
+class IndexTower(Record):
     """Immutable index data of a residual system.
 
     Construction validates shape only (equal lengths, entries positive,
@@ -63,34 +102,32 @@ class IndexTower:
     levels(), which raise InconsistentTower on data that cannot arise
     from one; this allows deliberately broken towers to be built and
     diagnosed.  The coefficient pass runs once, on first use, and is kept
-    outside the fields, so equality, hashing and repr ignore it.
+    in a slot outside the fields, so ==, hash, repr and copies ignore it.
     """
 
-    name: str
-    d: tuple[int, ...]
-    l: tuple[int, ...]
+    __slots__ = ("name", "d", "l", "_pass")
+    _fields = ("name", "d", "l")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
-        if len(self.d) != len(self.l):
-            raise ValueError(
-                f"d and l must have equal length, got {len(self.d)} and {len(self.l)}"
-            )
-        if not self.d:
+    def __init__(self, name: str, d: Iterable[int], l: Iterable[int]) -> None:
+        d = tuple(int(x) for x in d)
+        l = tuple(int(x) for x in l)
+        if len(d) != len(l):
+            raise ValueError(f"d and l must have equal length, got {len(d)} and {len(l)}")
+        if not d:
             raise ValueError("a tower needs at least one level")
-        for j, dj in enumerate(self.d, start=1):
+        for j, dj in enumerate(d, start=1):
             if dj < 2:
                 raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
-        for j, lj in enumerate(self.l, start=1):
+        for j, lj in enumerate(l, start=1):
             if lj < 1:
                 raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
-        for j in range(1, len(self.d)):
-            if self.d[j] < self.d[j - 1]:
+        for j in range(1, len(d)):
+            if d[j] < d[j - 1]:
                 raise ValueError(
                     f"d must be non-decreasing: "
-                    f"d[{j}] = {_show(self.d[j - 1])} > d[{j + 1}] = {_show(self.d[j])}"
+                    f"d[{j}] = {_show(d[j - 1])} > d[{j + 1}] = {_show(d[j])}"
                 )
+        self._fill(name, d, l)
 
     def __len__(self) -> int:
         return len(self.d)
@@ -104,8 +141,7 @@ class IndexTower:
         return 1 if j == 0 else self.l[j - 1]
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
+class LevelDecomposition(Record):
     """Coefficients of the lattice diamond at one level.
 
     r = [G : G_j], s = [L_{j-1} : L_j], t = [G_j : L_{j-1}], where G_j
@@ -113,9 +149,12 @@ class LevelDecomposition:
     They satisfy r*s = d[j] and r*s*t = l[j].
     """
 
-    r: int
-    s: int
-    t: int
+    __slots__ = _fields = ("r", "s", "t")
+
+    def __init__(self, r: int, s: int, t: int) -> None:  # one per level: skips the _fill loop
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
 class GrowthClass(Enum):
@@ -158,23 +197,27 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
             f"{name}: d[{j}]*l[{j - 1}] = {_show(dj * lprev)} "
             f"is not a multiple of l[{j}] = {_show(lj)}"
         )
-    return LevelDecomposition(r=r, s=s, t=t)
+    return LevelDecomposition(r, s, t)
 
 
 def _pass(tower: IndexTower) -> tuple[tuple[LevelDecomposition, ...], str | None]:
     """The levels up to the first inconsistent one, and its InconsistentTower
     message (or None), computed on first use and kept on the instance.  The
     pass is pure, so threads that race here store equal values."""
-    if "_pass" not in tower.__dict__:
-        out, error, lprev = [], None, 1
-        try:
-            for j, (dj, lj) in enumerate(zip(tower.d, tower.l), start=1):
-                out.append(_coefficients(tower.name, j, dj, lprev, lj))
-                lprev = lj
-        except InconsistentTower as exc:
-            error = str(exc)
-        object.__setattr__(tower, "_pass", (tuple(out), error))
-    return tower.__dict__["_pass"]
+    try:
+        return tower._pass
+    except AttributeError:
+        pass
+    out, error, lprev = [], None, 1
+    try:
+        for j, (dj, lj) in enumerate(zip(tower.d, tower.l), start=1):
+            out.append(_coefficients(tower.name, j, dj, lprev, lj))
+            lprev = lj
+    except InconsistentTower as exc:
+        error = str(exc)
+    kept = (tuple(out), error)
+    object.__setattr__(tower, "_pass", kept)
+    return kept
 
 
 def decompose(tower: IndexTower, j: int) -> LevelDecomposition:

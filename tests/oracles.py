@@ -8,17 +8,26 @@ one-order-per-prime table, the verdict read off sl_ratio_scan, and the
 gap-skipping scans.  The per-call coefficient loop and the single-level
 decomposition are the former levels() and decompose(), kept as oracles
 for the pass an IndexTower computes once and keeps.
+
+The tree words and their leaf actions check the Grigorchuk generators
+directly.  The frozen dataclasses at the end are twins of the library's
+record classes as they were before those became __slots__ records: the
+records must match them in ==, hash, repr, immutability, construction
+and validation messages.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+from resavg import grigorchuk, linear, tower
+from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
-from resavg.tower import IndexTower, LevelDecomposition, _coefficients, as_fraction
+from resavg.tower import _coefficients, _show, as_fraction
 
 ENUMERATION_LIMIT = 10**8
 
@@ -147,7 +156,7 @@ def sl_ratio_scan_loop(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, i
     return Fraction(num, den), witness
 
 
-def levels_loop(t: IndexTower, count: int) -> list[LevelDecomposition]:
+def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecomposition]:
     """(r, s, t) at levels 1..count, computed afresh on every call."""
     out = []
     lprev = 1
@@ -157,6 +166,159 @@ def levels_loop(t: IndexTower, count: int) -> list[LevelDecomposition]:
     return out
 
 
-def decompose_alone(t: IndexTower, j: int) -> LevelDecomposition:
+def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
     return _coefficients(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+
+
+@dataclass(frozen=True)
+class TreeAutomorphism:
+    """A word in the generators a, b, c, d."""
+
+    word: str
+
+    def __post_init__(self) -> None:
+        bad = set(self.word) - set(GENERATORS)
+        if bad:
+            raise ValueError(f"unknown generators {sorted(bad)}; expected letters from 'abcd'")
+
+
+def level_action(word: TreeAutomorphism | str, level: int) -> tuple[int, ...]:
+    """Permutation induced on the 2^level leaves, letters applied left to right."""
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    text = word.word if isinstance(word, TreeAutomorphism) else TreeAutomorphism(word).word
+    perm = tuple(range(1 << level))
+    for letter in text:
+        perm = _compose(perm, _generator_perm(letter, level))
+    return perm
+
+
+@dataclass(frozen=True)
+class IndexTower:
+    name: str
+    d: tuple[int, ...]
+    l: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
+        if len(self.d) != len(self.l):
+            raise ValueError(
+                f"d and l must have equal length, got {len(self.d)} and {len(self.l)}"
+            )
+        if not self.d:
+            raise ValueError("a tower needs at least one level")
+        for j, dj in enumerate(self.d, start=1):
+            if dj < 2:
+                raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
+        for j, lj in enumerate(self.l, start=1):
+            if lj < 1:
+                raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
+        for j in range(1, len(self.d)):
+            if self.d[j] < self.d[j - 1]:
+                raise ValueError(
+                    f"d must be non-decreasing: "
+                    f"d[{j}] = {_show(self.d[j - 1])} > d[{j + 1}] = {_show(self.d[j])}"
+                )
+
+
+@dataclass(frozen=True)
+class LevelDecomposition:
+    r: int
+    s: int
+    t: int
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        object.__setattr__(self, "entries", rows)
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square and non-empty")
+
+
+@dataclass(frozen=True)
+class EllTable:
+    n: int
+    primes: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
+        object.__setattr__(self, "rows", tuple(tuple(int(e) for e in row) for row in self.rows))
+        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
+        if self.n < 1:
+            raise ValueError("dimension must be at least 1")
+        if not (len(self.primes) == len(self.rows) == len(self.orders)):
+            raise ValueError("primes, rows, and orders must have equal length")
+        if not self.primes:
+            raise ValueError("table needs at least one prime")
+        depth = len(self.rows[0])
+        if depth < 1 or any(len(row) != depth for row in self.rows):
+            raise ValueError("all rows must share one positive depth")
+        step = self.n * self.n
+        for j, p in enumerate(self.primes):
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if j and p <= self.primes[j - 1]:
+                raise ValueError("primes must be strictly increasing")
+            if not 1 <= self.orders[j] < p**step:
+                raise ValueError(
+                    f"order {self.orders[j]} at prime {p} outside [1, {p}^{step})"
+                )
+            row = self.rows[j]
+            if row[0] < 0:
+                raise ValueError("exponents must be non-negative")
+            for k in range(1, depth):
+                if row[k] < row[k - 1]:
+                    raise ValueError(f"exponents must be non-decreasing (prime {p}, depth {k + 1})")
+                if row[k] > row[k - 1] + step:
+                    raise ValueError(
+                        f"exponent step exceeds n^2 = {step} (prime {p}, depth {k + 1})"
+                    )
+
+
+@dataclass(frozen=True)
+class PowerSelectionParams:
+    n: int
+    N: int
+    C: int
+    delta: Fraction
+    epsilon: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", as_fraction(self.delta))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        if self.n < 1:
+            raise ValueError("dimension must be at least 1")
+        if self.N <= math.factorial(self.n * self.n):
+            raise ValueError(f"N must exceed (n^2)! = {math.factorial(self.n * self.n)}")
+        if self.C <= 4:
+            raise ValueError("C must exceed 4")
+        if not Fraction(0) < self.delta < Fraction(1, 2):
+            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
+        if not Fraction(0) < self.epsilon < self.delta:
+            raise ValueError(f"epsilon must lie in (0, delta), got {self.epsilon}")
+
+
+@dataclass(frozen=True)
+class LevelQuotient:
+    level: int
+    order: int
+
+
+# Each library record class and its frozen-dataclass twin.
+TWINS = {
+    tower.IndexTower: IndexTower,
+    tower.LevelDecomposition: LevelDecomposition,
+    linear.IntMatrix: IntMatrix,
+    linear.EllTable: EllTable,
+    linear.PowerSelectionParams: PowerSelectionParams,
+    grigorchuk.LevelQuotient: LevelQuotient,
+}

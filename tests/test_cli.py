@@ -589,7 +589,7 @@ class TestIntegersOfAnySize:
     def test_density_past_the_limit(self, capsys):
         code, report = run_json(capsys, "density", "--n", "20000", "--upto", "10", "--quiet")
         assert code == 0
-        assert exact_fraction(report["exact"]) == level_set_measure(20000).measure
+        assert exact_fraction(report["exact"]) == level_set_measure(20000)
         assert exact_fraction(report["error_bound"]) == Fraction(2 * lcm_upto(20000), 10)
 
     @pytest.mark.parametrize(

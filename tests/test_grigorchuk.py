@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import TreeAutomorphism, level_action
 from resavg.errors import InsufficientLevels, InvalidPrimePower, LevelTooDeep
 from resavg.grigorchuk import (
     GENERATORS,
     MAX_LEVEL,
-    TreeAutomorphism,
     _chain_order,
     d1_series_terms,
     grig_tower,
-    level_action,
     level_quotient_order,
     slnzp_tower,
 )

@@ -70,18 +70,18 @@ class TestDivisibilityFunctions:
 
 class TestLevelSetMeasure:
     def test_examples(self):
-        assert level_set_measure(2).measure == Fraction(1, 2)
-        assert level_set_measure(4).measure == Fraction(1, 12)
-        assert level_set_measure(6).measure == 0
+        assert level_set_measure(2) == Fraction(1, 2)
+        assert level_set_measure(4) == Fraction(1, 12)
+        assert level_set_measure(6) == 0
 
     def test_positive_iff_prime_power(self):
         from test_primes import is_prime_power
 
         for n in range(2, 60):
-            assert (level_set_measure(n).measure > 0) == is_prime_power(n)
+            assert (level_set_measure(n) > 0) == is_prime_power(n)
 
     def test_telescopes_to_one(self):
-        total = sum((level_set_measure(n).measure for n in range(2, 31)), Fraction(0))
+        total = sum((level_set_measure(n) for n in range(2, 31)), Fraction(0))
         assert total == 1 - Fraction(1, lcm_upto(30))
 
 
@@ -129,7 +129,7 @@ class TestAverages:
     def test_ave_z_equals_weighted_measures(self):
         for terms in (1, 2, 5, 13, 30):
             weighted = sum(
-                (n * level_set_measure(n).measure for n in range(2, terms + 1)),
+                (n * level_set_measure(n) for n in range(2, terms + 1)),
                 Fraction(0),
             )
             assert ave_z_partial(terms) == weighted
@@ -214,7 +214,7 @@ class TestEmpirical:
         bound = 10**4
         for n in range(2, 10):
             observed = empirical_density(n, bound)
-            exact = float(level_set_measure(n).measure)
+            exact = float(level_set_measure(n))
             assert abs(observed - exact) <= 2 * lcm_upto(n) / bound + 1e-9
 
     def test_no_mass_off_prime_powers(self):
