@@ -18,11 +18,13 @@ ave_partial folds over the towers at the end of the module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import ZeroInput
-from .primes import first_primes, is_prime, lcm_sequence, lcm_upto
+from .primes import first_primes, is_prime, lcm_upto
 from .tower import IndexTower, ave_partial, running_product
 
 
@@ -75,7 +77,8 @@ def level_set_measure(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError(f"level sets start at n = 2, got {n}")
-    return Fraction(1, lcm_upto(n - 1)) - Fraction(1, lcm_upto(n))
+    prev = lcm_upto(n - 1)
+    return Fraction(1, prev) - Fraction(1, math.lcm(prev, n))
 
 
 def ave_z_partial(terms: int) -> Fraction:
@@ -125,10 +128,11 @@ def _level_counts(bound: int) -> Iterator[tuple[int, int]]:
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    n = 2
-    while lcm_upto(n - 1) <= bound:
-        yield n, bound // lcm_upto(n - 1) - bound // lcm_upto(n)
-        n += 1
+    n, prev = 2, 1  # prev = lcm(1..n-1)
+    while prev <= bound:
+        cur = math.lcm(prev, n)
+        yield n, bound // prev - bound // cur
+        n, prev = n + 1, cur
 
 
 def divisibility_counts(bound: int) -> dict[int, int]:
@@ -160,11 +164,9 @@ def tower_all_subgroups(levels: int) -> IndexTower:
     """
     if levels < 1:
         raise ValueError("levels must be positive")
-    chain = lcm_sequence(levels + 1)
+    d = tuple(range(2, levels + 2))
     return IndexTower(
-        name=f"Z-all-subgroups({levels})",
-        d=tuple(range(2, levels + 2)),
-        l=tuple(chain[2 : levels + 2]),
+        name=f"Z-all-subgroups({levels})", d=d, l=tuple(accumulate(d, math.lcm))
     )
 
 

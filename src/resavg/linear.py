@@ -22,7 +22,8 @@ from .errors import (
     InvalidPrimePower,
     TableExhausted,
 )
-from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime, iter_primes
+from .integers import d_prime
+from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime
 from .tower import IndexTower, RationalLike, Record, as_fraction, running_product
 
 
@@ -209,22 +210,21 @@ def divisibility_matrix(gamma: IntMatrix, pmax: int) -> tuple[int, int]:
 
     Returns (p, |SL(n, F_p)|) for the smallest prime p <= pmax with
     gamma not congruent to the identity mod p; since the orders grow
-    with p, that kernel also has the least index.
+    with p, that kernel also has the least index.  gamma is the identity
+    mod p iff p divides every entry of gamma - I, so p is the least prime
+    not dividing their gcd: d_prime of it.
     """
     if gamma.determinant() != 1:
         raise ValueError("matrix must have determinant 1")
     if gamma.is_identity():
         raise IdentityInput("the divisibility function is infinite at the identity")
     n = gamma.n
-    diff = [
-        gamma.entries[i][j] - (1 if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    ]
-    for p in iter_primes(pmax):
-        if any(e % p for e in diff):
-            return p, sl_order(n, p)
-    raise BoundExceeded(f"gamma reduces to the identity mod every prime <= {pmax}")
+    p = d_prime(
+        math.gcd(*(gamma.entries[i][j] - (i == j) for i in range(n) for j in range(n)))
+    )
+    if p > pmax:
+        raise BoundExceeded(f"gamma reduces to the identity mod every prime <= {pmax}")
+    return p, sl_order(n, p)
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

@@ -1,4 +1,4 @@
-"""Prime generation, consecutive-gap verification, and lcm chains.
+"""Prime generation, consecutive-gap verification, and lcm(1..j).
 
 Deterministic throughout: one segmented sieve for every bound (memory
 bounded by the segment, workable to about 1e8), and Miller-Rabin for
@@ -15,6 +15,8 @@ enough to beat the running best num/den.  A pair (p, q) can win only if
 q - p >= min_gap(p), a bound fixed by p and the best so far: for q/p it
 is floor(p(num - den)/den) + 1.  bytearray.find on the sieve flags
 jumps straight to the next run of min_gap(p) - 1 composites.
+
+lcm_upto takes one sieve pass per call; the module keeps no state.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from typing import Callable, Iterator
 
 _SEGMENT = 1 << 20
@@ -149,19 +151,12 @@ def first_primes(count: int) -> tuple[int, ...]:
     """The first `count` primes."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count == 0:
-        return ()
+    # > p_count: 15 > p_5, and p_n < n(ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld 1962)
     bound = 15
     if count > 5:
         x = float(count)
         bound = int(x * (math.log(x) + math.log(math.log(x))) * 1.2) + 10
-    while True:
-        out = []
-        for p in iter_primes(bound):
-            out.append(p)
-            if len(out) == count:
-                return tuple(out)
-        bound *= 2
+    return tuple(islice(iter_primes(bound), count))
 
 
 def bertrand_verify(bound: int) -> tuple[Fraction, tuple[int, int]]:
@@ -187,19 +182,14 @@ def bertrand_verify(bound: int) -> tuple[Fraction, tuple[int, int]]:
     return Fraction(num, den), pair
 
 
-_LCM_CHAIN = [1, 1]
-
-
 def lcm_upto(j: int) -> int:
-    """lcm(1, ..., j), with lcm of the empty range defined as 1."""
+    """lcm(1, ..., j) = product over primes p <= j of the largest p**k <= j; 1 at j = 0."""
     if j < 0:
         raise ValueError("j must be non-negative")
-    while len(_LCM_CHAIN) <= j:
-        _LCM_CHAIN.append(math.lcm(_LCM_CHAIN[-1], len(_LCM_CHAIN)))
-    return _LCM_CHAIN[j]
-
-
-def lcm_sequence(j: int) -> list[int]:
-    """[lcm(1..0), lcm(1..1), ..., lcm(1..j)] as a fresh list."""
-    lcm_upto(j)
-    return _LCM_CHAIN[: j + 1]
+    out = 1
+    for p in iter_primes(j):
+        power = p
+        while power * p <= j:
+            power *= p
+        out *= power
+    return out

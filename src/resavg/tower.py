@@ -375,6 +375,8 @@ def _all_pairs(tower: IndexTower, pair: Callable[[int, int], bool], start: int) 
     """pair(d[j], d[j+1]) for every j from `start` on."""
     if len(tower) < 2:
         raise ValueError("gap checks need at least two levels")
+    if start < 1:
+        raise ValueError(f"levels are numbered from 1, got start = {start}")
     return all(pair(tower.d_at(j), tower.d_at(j + 1)) for j in range(start, len(tower)))
 
 

@@ -5,7 +5,8 @@ closed form is checked against a direct count at desk scale.  The
 per-depth exponent rows, the pairwise gap-ratio loop and the per-prime
 ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
-gap-skipping scans.  The per-call coefficient loop and the single-level
+gap-skipping scans; so is the per-prime matrix scan, for the gcd route
+of divisibility_matrix.  The per-call coefficient loop and the single-level
 decomposition are the former levels() and decompose(), kept as oracles
 for the pass an IndexTower computes once and keeps.
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from resavg import grigorchuk, linear, tower
+from resavg.errors import BoundExceeded, IdentityInput
 from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
@@ -154,6 +156,24 @@ def sl_ratio_scan_loop(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, i
             num, den, witness = order, prev_order, (prev, p)
         prev, prev_order = p, order
     return Fraction(num, den), witness
+
+
+def divisibility_matrix_scan(gamma: linear.IntMatrix, pmax: int) -> tuple[int, int]:
+    """The former divisibility_matrix: every prime <= pmax against every entry of gamma - I."""
+    if gamma.determinant() != 1:
+        raise ValueError("matrix must have determinant 1")
+    if gamma.is_identity():
+        raise IdentityInput("the divisibility function is infinite at the identity")
+    n = gamma.n
+    diff = [
+        gamma.entries[i][j] - (1 if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    ]
+    for p in iter_primes(pmax):
+        if any(e % p for e in diff):
+            return p, sl_order(n, p)
+    raise BoundExceeded(f"gamma reduces to the identity mod every prime <= {pmax}")
 
 
 def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecomposition]:

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -19,7 +21,7 @@ from resavg.integers import (
     tower_prime_powers,
     tower_primes,
 )
-from resavg.primes import first_primes, lcm_sequence, lcm_upto, primes_upto
+from resavg.primes import first_primes, lcm_upto, primes_upto
 from resavg.tower import ave_partial, is_nested, is_prime_system
 
 
@@ -87,7 +89,7 @@ class TestLevelSetMeasure:
 
 def ave_z_per_term(terms):
     """The former per-term sum: j * (1 - lcm(1..j-1)/lcm(1..j)) / lcm(1..j-1) over j <= terms."""
-    chain = lcm_sequence(terms)
+    chain = list(accumulate(range(1, terms + 1), math.lcm, initial=1))
     total = Fraction(0)
     for j in range(1, terms + 1):
         prev, cur = chain[j - 1], chain[j]

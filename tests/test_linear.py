@@ -40,6 +40,7 @@ from resavg.tower import GrowthClass, classify, gap_check_power, is_prime_system
 from oracles import (
     brute_force_order,
     brute_force_order_mod,
+    divisibility_matrix_scan,
     ell_row_per_depth,
     gap_ratio_limit_pairwise,
     sl_ratio_scan_loop,
@@ -271,6 +272,39 @@ def sl_ratio_scan_pairwise(n, lo, hi):
     return best, witness
 
 
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_elementary_product(rng, n, modulus):
+    """A product of elementary matrices I + t E_ij (i != j), each t a nonzero multiple of modulus.
+
+    So gamma is congruent to I mod modulus.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(2, 6)):
+        i, j = rng.sample(range(n), 2)
+        t = modulus * rng.choice((-3, -2, -1, 1, 2, 3))
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+def is_unipotent(gamma):
+    """True iff (gamma - I)**n == 0."""
+    n = gamma.n
+    nil = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(gamma.entries)]
+    power = nil
+    for _ in range(n - 1):
+        power = [
+            [sum(power[i][k] * nil[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+        ]
+    return not any(any(row) for row in power)
+
+
 class TestDivisibilityMatrix:
     def test_examples(self):
         assert divisibility_matrix(IntMatrix(((1, 1), (0, 1))), 100) == (2, 6)
@@ -296,6 +330,39 @@ class TestDivisibilityMatrix:
             p, index = divisibility_matrix(gamma, 1000)
             assert p == d_prime(m)
             assert index == sl_order(2, p)
+
+    def test_matches_the_per_prime_scan(self):
+        rng = random.Random(20261018)
+        seen = {2: 0, 3: 0}
+        while min(seen.values()) < 300:
+            n = rng.choice((2, 3))
+            modulus = math.prod(first_primes(rng.randrange(6))) * rng.choice((1, 1, 2, 3, 7))
+            gamma = random_elementary_product(rng, n, modulus)
+            if is_unipotent(gamma):
+                continue
+            seen[n] += 1
+            pmax = rng.choice((1000, rng.randint(-3, 20)))
+            assert outcome(divisibility_matrix, gamma, pmax) == outcome(
+                divisibility_matrix_scan, gamma, pmax
+            ), (gamma, pmax)
+
+    def test_bound_edges(self):
+        gamma = IntMatrix(((1, 6), (0, 1)))  # least prime missing 6 is 5
+        assert divisibility_matrix(gamma, 5) == (5, sl_order(2, 5))
+        assert divisibility_matrix(gamma, 6) == (5, sl_order(2, 5))
+        for pmax in (4, 3, 2, 1, 0, -7):
+            with pytest.raises(BoundExceeded) as exc:
+                divisibility_matrix(gamma, pmax)
+            assert str(exc.value) == f"gamma reduces to the identity mod every prime <= {pmax}"
+        gamma = IntMatrix(((31, 30), (-30, -29)))  # gamma - I = 30 * (1, 1; -1, -1)
+        assert divisibility_matrix(gamma, 7) == (7, sl_order(2, 7))
+        with pytest.raises(BoundExceeded):
+            divisibility_matrix(gamma, 6)
+        # the determinant and identity checks still come before the bound
+        for matrix, pmax in ((((2, 0), (0, 1)), 1), (((1, 0), (0, 1)), 1), (gamma.entries, 1)):
+            assert outcome(divisibility_matrix, IntMatrix(matrix), pmax) == outcome(
+                divisibility_matrix_scan, IntMatrix(matrix), pmax
+            )
 
     def test_determinant_exact(self):
         assert IntMatrix(((3, 1), (1, 1))).determinant() == 2

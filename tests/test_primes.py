@@ -1,6 +1,11 @@
+import importlib.util
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,6 @@ from resavg.primes import (
     first_primes,
     is_prime,
     iter_primes,
-    lcm_sequence,
     lcm_upto,
     primes_upto,
 )
@@ -141,6 +145,12 @@ class TestFirstPrimes:
         assert len(ps) == 1000
         assert ps[-1] == 7919
 
+    def test_every_count_to_3000_matches_is_prime(self):
+        ps = tuple(n for n in range(27450) if is_prime(n))  # p_3000 = 27449
+        assert len(ps) == 3000
+        for count in range(3001):
+            assert first_primes(count) == ps[:count], count
+
 
 class TestBertrand:
     def test_examples(self):
@@ -190,7 +200,8 @@ class TestLcm:
         assert lcm_upto(10) == 2520
 
     def test_divisibility_chain_and_prime_power_jumps(self):
-        chain = lcm_sequence(200)
+        chain = list(accumulate(range(1, 201), math.lcm, initial=1))
+        assert [lcm_upto(j) for j in range(201)] == chain
         for j in range(1, 201):
             assert chain[j] % chain[j - 1] == 0
             jumps = chain[j] // chain[j - 1] > 1
@@ -200,6 +211,39 @@ class TestLcm:
         # no longer representable as a signed 64-bit integer
         assert lcm_upto(43) > 2**63 - 1
         assert lcm_upto(47).bit_length() > 64
+
+    def test_matches_a_fold_of_math_lcm(self):
+        for j in (*range(2001), 20000):
+            assert lcm_upto(j) == reduce(math.lcm, range(1, j + 1), 1), j
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            lcm_upto(-1)
+
+    def test_concurrent_calls_agree(self):
+        # A fresh copy of the module, so that no earlier call in this
+        # process has left state behind; threads switch every microsecond.
+        spec = importlib.util.find_spec("resavg.primes")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        chain = list(accumulate(range(1, 3001), math.lcm, initial=1))
+        results = []
+
+        def work():
+            results.append(fresh.lcm_upto(3000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [chain[3000]] * 4
+        assert [fresh.lcm_upto(j) for j in range(3001)] == chain
 
 
 class TestIsPrime:

@@ -263,6 +263,16 @@ class TestGapChecks:
         assert first_power_gap_index(t, Fraction(1, 2)) == 2
         assert gap_check_power(t, Fraction(1, 2), start=2) is True
 
+    @pytest.mark.parametrize("start", [0, -1, -5])
+    def test_start_below_one_rejected(self, start):
+        t = IndexTower("primes", (2, 3, 5, 7), (2, 6, 30, 210))
+        assert gap_check_linear(t, 2) is True
+        assert gap_check_power(t, 1) is True
+        with pytest.raises(ValueError, match="numbered from 1"):
+            gap_check_linear(t, 2, start=start)
+        with pytest.raises(ValueError, match="numbered from 1"):
+            gap_check_power(t, 1, start=start)
+
 
 class TestTelescope:
     def test_examples(self):
