@@ -110,16 +110,18 @@ def _prime_power_base(q: int) -> tuple[int, int]:
     raise InvalidPrimePower(f"{q} is not a prime power")
 
 
+def _gl_product(n: int, q: int) -> int:
+    """(q^n - 1)(q^n - q)...(q^n - q^(n-1)), for n and q already checked."""
+    qn = q**n
+    return math.prod(qn - q**exp for exp in range(n))
+
+
 def gl_order(n: int, q: int) -> int:
     """|GL(n, F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1))."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     _prime_power_base(q)
-    qn = q**n
-    order = 1
-    for exp in range(n):
-        order *= qn - q**exp
-    return order
+    return _gl_product(n, q)
 
 
 def sl_order(n: int, q: int) -> int:
@@ -148,12 +150,14 @@ def sl_prime_tower(n: int, levels: int) -> IndexTower:
 
     Reduction mod p is onto SL(n, F_p), so d[j] = |SL(n, F_p_j)|, and
     distinct primes make the system prime: l is the running product.
+    The sieve's primes need no primality check, so d is taken from the
+    order formula directly.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if levels < 1:
         raise ValueError("levels must be positive")
-    d = tuple(sl_order(n, p) for p in first_primes(levels))
+    d = tuple(_gl_product(n, p) // (p - 1) for p in first_primes(levels))
     return IndexTower(name=f"SL({n},Z)-mod-p({levels})", d=d, l=running_product(d))
 
 

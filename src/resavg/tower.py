@@ -21,6 +21,7 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InconsistentTower, InsufficientData
@@ -176,28 +177,31 @@ def _check_prefix(tower: IndexTower, j: int) -> None:
 def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j].
 
-    Every division has a small quotient or a small divisor: once
-    l[j] = s*l[j-1] is known, d[j]*l[j-1]/l[j] = d[j]/s, so the third
-    integrality condition is s | d[j] and the product d[j]*l[j-1] is
-    only formed for the error message.
+    One big-by-big division, s = l[j]/l[j-1].  A prime-system level
+    (s = d[j]) has r = 1, t = l[j-1]; a nested one (l[j] = d[j]) has
+    r = l[j-1], t = 1.  Otherwise r = d[j]/s, and since l[j] = s*l[j-1],
+    d[j] | l[j] iff r | l[j-1], with t = l[j-1]/r.  Only a failing level
+    is divided again, to name the first condition that fails.
     """
     s, rem = divmod(lj, lprev)
     if rem:
         raise InconsistentTower(
             f"{name}: l[{j - 1}] = {_show(lprev)} does not divide l[{j}] = {_show(lj)}"
         )
-    t, rem = divmod(lj, dj)
-    if rem:
-        raise InconsistentTower(
-            f"{name}: d[{j}] = {_show(dj)} does not divide l[{j}] = {_show(lj)}"
-        )
+    if s == dj:
+        return LevelDecomposition(1, s, lprev)
+    if lj == dj:
+        return LevelDecomposition(lprev, s, 1)
     r, rem = divmod(dj, s)
-    if rem:
-        raise InconsistentTower(
-            f"{name}: d[{j}]*l[{j - 1}] = {_show(dj * lprev)} "
-            f"is not a multiple of l[{j}] = {_show(lj)}"
-        )
-    return LevelDecomposition(r, s, t)
+    if not rem:
+        t, rem = divmod(lprev, r)
+        if not rem:
+            return LevelDecomposition(r, s, t)
+    if lj % dj:
+        why = f"d[{j}] = {_show(dj)} does not divide"
+    else:
+        why = f"d[{j}]*l[{j - 1}] = {_show(dj * lprev)} is not a multiple of"
+    raise InconsistentTower(f"{name}: {why} l[{j}] = {_show(lj)}")
 
 
 def _pass(tower: IndexTower) -> tuple[tuple[LevelDecomposition, ...], str | None]:
@@ -271,17 +275,16 @@ def ave_partial_product_form(tower: IndexTower, terms: int) -> Fraction:
     """Partial residual average via the product-form series.
 
     Sums r_j (s_j - 1) / (s_1 ... s_{j-1}), folded Horner-wise over the
-    denominator s_1 ... s_{terms-1}.  Kept as a separate code path from
-    ave_partial so the two published series can be compared on any
-    tower; with coefficients derived from (d, l) they agree term by
-    term, which the test suite checks rather than assumes.
+    denominator s_1 ... s_{terms-1} = l[terms-1].  The numerator fold is
+    a separate code path from ave_partial, so the two published series
+    can be compared on any tower; with coefficients derived from (d, l)
+    they agree term by term, which the test suite checks, not assumes.
     """
-    num, den, s_prev = 0, 1, 1
+    num, s_prev = 0, 1
     for dec in levels(tower, terms):
         num = num * s_prev + dec.r * (dec.s - 1)
-        den *= s_prev
         s_prev = dec.s
-    return Fraction(num, den)
+    return Fraction(num, tower.l_at(max(terms - 1, 0)))
 
 
 def measure_telescope(tower: IndexTower, terms: int) -> Fraction:
@@ -351,13 +354,11 @@ def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
 
 
 def is_prime_system(tower: IndexTower) -> bool:
-    """True iff l[j] is the full product d[1]...d[j] at every level."""
-    product = 1
-    for j in range(1, len(tower) + 1):
-        product *= tower.d_at(j)
-        if tower.l_at(j) != product:
-            return False
-    return True
+    """True iff l[j] is the full product d[1]...d[j] at every level, i.e.
+    iff the kept pass is consistent with r_j = 1 (s_j = d[j]) throughout.
+    An inconsistent tower is never a prime system, so this never raises."""
+    prefix, error = _pass(tower)
+    return error is None and all(dec.r == 1 for dec in prefix)
 
 
 def is_nested(tower: IndexTower) -> bool:
@@ -436,9 +437,4 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
 
 def running_product(values: Sequence[int]) -> tuple[int, ...]:
     """Partial products, used to build prime-system towers."""
-    out = []
-    acc = 1
-    for v in values:
-        acc *= v
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(values, operator.mul))

@@ -6,9 +6,12 @@ per-depth exponent rows, the pairwise gap-ratio loop and the per-prime
 ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
 gap-skipping scans; so is the per-prime matrix scan, for the gcd route
-of divisibility_matrix.  The per-call coefficient loop and the single-level
-decomposition are the former levels() and decompose(), kept as oracles
-for the pass an IndexTower computes once and keeps.
+of divisibility_matrix.  The three-division coefficients are the former
+_coefficients, kept as the oracle for the one-big-division pass; the
+per-call coefficient loop and the single-level decomposition over them
+are the former levels() and decompose(), kept as oracles for the pass an
+IndexTower computes once and keeps, and the running-product loop is the
+former is_prime_system, kept for the version that reads that pass.
 
 The tree words and their leaf actions check the Grigorchuk generators
 directly.  The frozen dataclasses at the end are twins of the library's
@@ -25,11 +28,11 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from resavg import grigorchuk, linear, tower
-from resavg.errors import BoundExceeded, IdentityInput
+from resavg.errors import BoundExceeded, IdentityInput, InconsistentTower
 from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
-from resavg.tower import _coefficients, _show, as_fraction
+from resavg.tower import _show, as_fraction
 
 ENUMERATION_LIMIT = 10**8
 
@@ -176,19 +179,53 @@ def divisibility_matrix_scan(gamma: linear.IntMatrix, pmax: int) -> tuple[int, i
     raise BoundExceeded(f"gamma reduces to the identity mod every prime <= {pmax}")
 
 
+def coefficients_three_divisions(
+    name: str, j: int, dj: int, lprev: int, lj: int
+) -> tower.LevelDecomposition:
+    """(r, s, t) at level j by s = l[j]/l[j-1], t = l[j]/d[j] and r = d[j]/s,
+    each checked exact in that order; the first that is not names the error."""
+    s, rem = divmod(lj, lprev)
+    if rem:
+        raise InconsistentTower(
+            f"{name}: l[{j - 1}] = {_show(lprev)} does not divide l[{j}] = {_show(lj)}"
+        )
+    t, rem = divmod(lj, dj)
+    if rem:
+        raise InconsistentTower(
+            f"{name}: d[{j}] = {_show(dj)} does not divide l[{j}] = {_show(lj)}"
+        )
+    r, rem = divmod(dj, s)
+    if rem:
+        raise InconsistentTower(
+            f"{name}: d[{j}]*l[{j - 1}] = {_show(dj * lprev)} "
+            f"is not a multiple of l[{j}] = {_show(lj)}"
+        )
+    return tower.LevelDecomposition(r, s, t)
+
+
+def is_prime_system_loop(t: tower.IndexTower) -> bool:
+    """l[j] == d[1]...d[j] at every level, by a running product."""
+    product = 1
+    for j in range(1, len(t) + 1):
+        product *= t.d_at(j)
+        if t.l_at(j) != product:
+            return False
+    return True
+
+
 def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecomposition]:
     """(r, s, t) at levels 1..count, computed afresh on every call."""
     out = []
     lprev = 1
     for j, (dj, lj) in enumerate(zip(t.d[:count], t.l[:count]), start=1):
-        out.append(_coefficients(t.name, j, dj, lprev, lj))
+        out.append(coefficients_three_divisions(t.name, j, dj, lprev, lj))
         lprev = lj
     return out
 
 
 def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
-    return _coefficients(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+    return coefficients_three_divisions(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
 
 
 @dataclass(frozen=True)

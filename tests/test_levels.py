@@ -4,10 +4,13 @@ levels() and the single-denominator folds over it are fast paths.  The
 oracles here are the earlier per-level code: decompose with the
 big-by-big remainder (d*l[j-1]) % l[j], and series summed one Fraction
 term at a time.  The pass a tower keeps after first use is checked
-against the per-call loop it replaced (tests/oracles.py).
+against the per-call loop it replaced (tests/oracles.py), and the pass's
+one-big-division coefficients against the three-division ones they
+replaced, on random levels of every branch and every failure.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resavg.tower
-from oracles import decompose_alone, levels_loop
+from oracles import (
+    coefficients_three_divisions,
+    decompose_alone,
+    is_prime_system_loop,
+    levels_loop,
+)
 from resavg.errors import InconsistentTower, InsufficientData
 from resavg.tower import (
     GrowthClass,
@@ -28,8 +36,10 @@ from resavg.tower import (
     classify,
     decompose,
     degenerate_levels,
+    is_prime_system,
     levels,
     measure_telescope,
+    running_product,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -286,3 +296,134 @@ def test_every_fold_shares_one_pass(monkeypatch):
     degenerate_levels(t)
     classify(t, window=10)
     assert calls == list(range(1, 41))
+
+
+# ---------------------------------------------------------------------------
+# one big division per level
+
+
+def level_kind(dj: int, lprev: int, lj: int) -> str:
+    """Which of the pass's branches a level takes, or which conditions fail."""
+    if lj % lprev:
+        return "l[j-1] fails"
+    second, third = lj % dj != 0, (dj * lprev) % lj != 0
+    if second or third:
+        return {(True, False): "d[j] fails", (False, True): "product fails"}.get(
+            (second, third), "both fail"
+        )
+    s = lj // lprev
+    if s == dj:
+        return "prime"
+    if lj == dj:
+        return "nested"
+    return "degenerate" if s == 1 else "generic"
+
+
+def random_level(rng: random.Random) -> tuple[int, int, int]:
+    """(d[j], l[j-1], l[j]) drawn to reach every branch and every failure."""
+    factors = [rng.randrange(2, 60) for _ in range(rng.randrange(1, 12))]
+    lprev = math.prod(factors) * rng.choice((1, 1, rng.getrandbits(rng.randrange(1, 400)) | 1))
+    r = math.prod(f for f in factors if rng.random() < 0.5)  # r | l[j-1]
+    s = rng.choice((1, rng.randrange(2, 40), rng.getrandbits(rng.randrange(2, 120)) | 2))
+    lj = lprev * s
+    case = rng.randrange(8)
+    if case == 0:  # prime-system level
+        return max(s, 2), lprev, lprev * max(s, 2)
+    if case == 1:  # nested level
+        return max(lj, 2), lprev, lj
+    if case == 2:  # generic or degenerate: r | l[j-1], d = r*s
+        return max(r * s, 2), lprev, lj
+    if case == 3:  # l[j-1] does not divide l[j]
+        return max(r * s, 2), lprev + 1, lj
+    if case == 4:  # s | d[j] but r does not divide l[j-1]
+        return s * (lprev + 1), lprev, lj
+    if case == 5:  # d[j] | l[j] but s does not divide d[j]: s has a prime q not in l[j-1]
+        q, m = rng.choice((1000003, 998244353, 2**61 - 1)), rng.randrange(1, 40)
+        return max(lprev * m, 2), lprev, lprev * q * m
+    if case == 6:  # unrelated small numbers
+        return rng.randrange(2, 500), rng.randrange(1, 200), rng.randrange(1, 10**4)
+    return rng.randrange(2, 10**6) | 1, lprev, lj  # mostly both fail
+
+
+def test_pass_matches_three_divisions_on_random_levels():
+    rng = random.Random(20240613)
+    seen: dict[str, int] = {}
+    for _ in range(24000):
+        dj, lprev, lj = random_level(rng)
+        j = rng.randrange(1, 50)
+        got = outcome(lambda: resavg.tower._coefficients("lvl", j, dj, lprev, lj))
+        want = outcome(lambda: coefficients_three_divisions("lvl", j, dj, lprev, lj))
+        assert got == want, (dj, lprev, lj)
+        kind = level_kind(dj, lprev, lj)
+        seen[kind] = seen.get(kind, 0) + 1
+    kinds = ("prime", "nested", "generic", "degenerate", "l[j-1] fails", "d[j] fails",
+             "product fails", "both fail")
+    assert all(seen.get(kind, 0) >= 300 for kind in kinds), seen
+
+
+def test_pass_on_big_tower_levels():
+    rng = random.Random(7)
+    lprev = 2**10 * math.prod(rng.getrandbits(100) | 1 for _ in range(120))  # ~12k bits
+    q = 2**61 - 1  # prime, and no factor of lprev for this seed
+    odd = rng.getrandbits(100) | 1
+    cases = {
+        "prime": (odd, lprev * odd),
+        "nested": (lprev * 625, lprev * 625),
+        "generic": (2 * 5, lprev * 5),
+        "l[j-1] fails": (14, lprev * 7 + 1),
+        "d[j] fails": (q * 5, lprev * 5),
+        "product fails": (lprev, lprev * q),
+        "both fail": (3 * q, lprev * 2),
+    }
+    for kind, (dj, lj) in cases.items():
+        assert level_kind(dj, lprev, lj) == kind
+        got = outcome(lambda: resavg.tower._coefficients("big", 9, dj, lprev, lj))
+        assert got == outcome(lambda: coefficients_three_divisions("big", 9, dj, lprev, lj))
+
+
+def prime_system(d) -> IndexTower:
+    d = sorted(d)
+    return IndexTower("prime", tuple(d), running_product(d))
+
+
+@st.composite
+def broken_prime_systems(draw) -> IndexTower:
+    """A prime system, then one l entry (first, middle, last or any) or d entry changed."""
+    t = prime_system(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=8)))
+    where = draw(st.sampled_from(("first", "middle", "last", "any")))
+    i = {"first": 0, "middle": len(t) // 2, "last": len(t) - 1}.get(
+        where, draw(st.integers(0, len(t) - 1))
+    )
+    l, d = list(t.l), list(t.d)
+    how = draw(st.sampled_from(("add", "scale", "divide", "d")))
+    if how == "add":
+        l[i] += draw(st.integers(1, 3))
+    elif how == "scale":
+        l[i] *= draw(st.integers(2, 6))
+    elif how == "divide":
+        l[i] //= d[i]
+    else:
+        d[i] += 1
+        d.sort()
+    return IndexTower("broken-prime", tuple(d), tuple(l))
+
+
+@PROPERTY
+@given(st.one_of(memo_towers, broken_prime_systems()))
+def test_is_prime_system_matches_the_running_product(t):
+    want = is_prime_system_loop(t)
+    cold = fresh(t)
+    assert is_prime_system(cold) is want
+    outcome(lambda: levels(cold))
+    assert is_prime_system(cold) is want
+
+
+def test_product_form_at_the_ends_of_the_paper_towers():
+    # test_series_match_per_term_sums covers every prefix of the drawn towers
+    from resavg.grigorchuk import slnzp_tower
+    from resavg.linear import sl_prime_tower
+
+    for t in (sl_prime_tower(3, 80), slnzp_tower(2, 5, 80)):
+        decs = oracle_levels(t, len(t))
+        for terms in (0, 1, 2, len(t)):
+            assert ave_partial_product_form(fresh(t), terms) == oracle_product_form(decs[:terms])

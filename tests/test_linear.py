@@ -153,6 +153,29 @@ class TestSlPrimeTower:
     def test_classification(self):
         assert classify(sl_prime_tower(2, 20), window=5) is GrowthClass.SUB_QUADRATIC
 
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_d_is_sl_order_at_each_prime(self, n):
+        # the tower takes d from the order formula without re-checking the sieve's primes
+        t = sl_prime_tower(n, 300)
+        assert t.d == tuple(sl_order(n, p) for p in first_primes(300))
+        assert t.l == tuple(math.prod(t.d[: j + 1]) for j in range(300))
+
+    def test_public_orders_keep_their_checks(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            gl_order(0, 5)
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            sl_order(0, 5)
+        with pytest.raises(InvalidPrimePower, match="^6 is not a prime power$"):
+            gl_order(2, 6)
+        with pytest.raises(InvalidPrimePower, match="^1 is not a prime power$"):
+            sl_order(3, 1)
+        with pytest.raises(InvalidPrimePower, match="^p must be prime, got 4$"):
+            order_mod_pk(2, 4, 2, True)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            order_mod_pk(2, 5, 0, False)
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            order_mod_pk(0, 5, 2, False)
+
     def test_gap_ratio_limit(self):
         assert gap_ratio_limit_check(2, 100, Fraction(5, 100)) is True
         assert gap_ratio_limit_check(3, 50, Fraction(5, 100)) is True
