@@ -1,7 +1,7 @@
 """Parent vs change on the benchmark, in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --out BENCH.json \
-        [--workload NAME ...] [--seed N ...] [--pairs 10] [--seconds 30] \
+        [--workload NAME ...] [--seed N ...] [--pairs 10] \
         [--claim WORKLOAD:METRIC] [--extra NOTES.json]
 
 Run from the root of a git checkout; REV is any commit or tree (for
@@ -12,8 +12,8 @@ once with PYTHONDONTWRITEBYTECODE unset, and perfbench/run.py runs from
 that export as it is.  For every workload and seed, pair i runs the
 parent first when i is even and the change first when i is odd.  The
 file is rewritten after every workload and seed, so a run cut short
-keeps what it finished.  Metric names and their better direction come
-from the change's BENCHMARK.json.  Stdlib only.
+keeps what it finished.  The run length, the metric names and their
+better direction come from the change's BENCHMARK.json.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -74,15 +74,25 @@ def summarize(seed: int, runs: list[dict[str, dict]], metrics: dict[str, str]) -
 
 def claim_result(blocks: list[dict], metric: str, better: str) -> str:
     """Whether the change wins at least 9 of 10 pairs on every seed, with a
-    median better than the parent's by more than the parent's IQR."""
+    median better than the parent's by more than the parent's IQR.
+
+    A seed with fewer than 10 pairs, with more failed operations on the
+    change than on the parent, or with a change run whose outputs did not
+    match the references, does not meet the claim.
+    """
     parts, met = [], True
     for block in blocks:
         parent, change = block["parent"][metric], block["change"][metric]
         wins, pairs = block["wins"][metric], block["pairs"]
         gap = (parent["median"] - change["median"]) * (1 if better == "lower" else -1)
-        met = met and wins * 10 >= pairs * 9 and gap > parent["iqr"]
+        failed = {side: block[side]["failed"] for side in SIDES}
+        met = (met and pairs >= 10 and wins * 10 >= pairs * 9 and gap > parent["iqr"]
+               and failed["change"] <= failed["parent"]
+               and block["change"]["correct_runs"] == pairs)
         parts.append(f"{wins}/{pairs} wins; median {parent['median']} -> {change['median']} "
-                     f"(seed {block['seed']}, parent IQR {parent['iqr']})")
+                     f"(seed {block['seed']}, parent IQR {parent['iqr']}, failed "
+                     f"{failed['parent']} -> {failed['change']}, change correct in "
+                     f"{block['change']['correct_runs']}/{pairs} runs)")
     return ("met" if met else "not met") + ": " + " and ".join(parts)
 
 
@@ -137,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--seed", action="append", type=int, help="default: 1 and 7")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--claim", type=claim_arg,
                         help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--extra", type=Path, help="JSON object merged into the output")
@@ -146,44 +155,50 @@ def main(argv: list[str] | None = None) -> int:
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     revs = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
-    result = {
-        "what": f"Parent vs change on the benchmark: medians and quartiles of the end-to-end "
-                f"metrics over {args.pairs} alternating pairs of {args.seconds:g} s runs, "
-                f"seeds {', '.join(map(str, seeds))}",
-        "parent_commit": revs["parent"],
-        "change_commit": revs["change"],
-        "measured_src_tree": git("rev-parse", f"{revs['change']}:src"),
-        "python": platform.python_version(),
-        "machine": machine(),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   f"--trace 0",
-        "method": "scripts/bench_pairs.py: each side runs from its own clean git archive export "
-                  "with unmodified perfbench/, PYTHONDONTWRITEBYTECODE unset, and src/ and "
-                  "perfbench/ byte-compiled once before any timed run; pair i runs the parent "
-                  "first when i is even (first_in_pair); workloads run one after another, each "
-                  "on every seed in turn; quartiles are statistics.quantiles(n=4, "
-                  "method='inclusive'); a win is a pair where the change's value is strictly "
-                  "better; per side, failed and attempted are summed over its runs and "
-                  "correct_runs counts the runs whose outputs matched perfbench/reference.py",
-    }
-    if args.claim:
-        claimed, claimed_metric = args.claim
-        result["claim"] = {"workload": claimed, "metric": claimed_metric, "result": "not run"}
-    if args.extra:
-        result.update(json.loads(args.extra.read_text()))
-    result["workloads"] = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], roots[side], env)
         spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
         metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        result = {
+            "what": f"Parent vs change on the benchmark: medians and quartiles of the "
+                    f"end-to-end metrics over {args.pairs} alternating pairs of {seconds:g} s "
+                    f"runs, seeds {', '.join(map(str, seeds))}",
+            "parent_commit": revs["parent"],
+            "change_commit": revs["change"],
+            "measured_src_tree": git("rev-parse", f"{revs['change']}:src"),
+            "python": platform.python_version(),
+            "machine": machine(),
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                       f"--trace 0",
+            "method": "scripts/bench_pairs.py: each side runs from its own clean git archive "
+                      "export with unmodified perfbench/, PYTHONDONTWRITEBYTECODE unset, and "
+                      "src/ and perfbench/ byte-compiled once before any timed run; the run "
+                      "length is BENCHMARK.json's run_seconds; pair i runs the parent first "
+                      "when i is even (first_in_pair); workloads run one after another, each "
+                      "on every seed in turn; quartiles are statistics.quantiles(n=4, "
+                      "method='inclusive'); a win is a pair where the change's value is "
+                      "strictly better; per side, failed and attempted are summed over its "
+                      "runs and correct_runs counts the runs whose outputs matched "
+                      "perfbench/reference.py; a claim is met only with at least 10 pairs per "
+                      "seed, no more failed operations on the change than on the parent and "
+                      "every change run correct",
+        }
+        if args.claim:
+            claimed, claimed_metric = args.claim
+            result["claim"] = {"workload": claimed, "metric": claimed_metric,
+                               "result": "not run"}
+        if args.extra:
+            result.update(json.loads(args.extra.read_text()))
+        result["workloads"] = {}
         for workload in workloads:
             for seed in seeds:
                 runs = []
                 for i in range(args.pairs):
-                    run = {side: run_once(roots[side], env, workload, seed, args.seconds)
+                    run = {side: run_once(roots[side], env, workload, seed, seconds)
                            for side in pair_order(i)}
                     runs.append(run)
                     print(f"{workload} seed {seed} pair {i}: " + ", ".join(

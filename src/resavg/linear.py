@@ -110,23 +110,23 @@ def _prime_power_base(q: int) -> tuple[int, int]:
     raise InvalidPrimePower(f"{q} is not a prime power")
 
 
-def _gl_product(n: int, q: int) -> int:
-    """(q^n - 1)(q^n - q)...(q^n - q^(n-1)), for n and q already checked."""
+def _sl_product(n: int, q: int) -> int:
+    """(q^n - 1)(q^n - q)...(q^n - q^(n-1)) / (q - 1), for n and q already checked."""
     qn = q**n
-    return math.prod(qn - q**exp for exp in range(n))
+    return math.prod(qn - q**exp for exp in range(n)) // (q - 1)
 
 
 def gl_order(n: int, q: int) -> int:
     """|GL(n, F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1))."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    _prime_power_base(q)
-    return _gl_product(n, q)
+    return sl_order(n, q) * (q - 1)
 
 
 def sl_order(n: int, q: int) -> int:
     """|SL(n, F_q)| = |GL(n, F_q)| / (q - 1)."""
-    return gl_order(n, q) // (q - 1)
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    _prime_power_base(q)
+    return _sl_product(n, q)
 
 
 def order_mod_pk(n: int, p: int, k: int, det_one: bool) -> int:
@@ -150,14 +150,13 @@ def sl_prime_tower(n: int, levels: int) -> IndexTower:
 
     Reduction mod p is onto SL(n, F_p), so d[j] = |SL(n, F_p_j)|, and
     distinct primes make the system prime: l is the running product.
-    The sieve's primes need no primality check, so d is taken from the
-    order formula directly.
+    d is read off the order formula: sieved primes need no primality check.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if levels < 1:
         raise ValueError("levels must be positive")
-    d = tuple(_gl_product(n, p) // (p - 1) for p in first_primes(levels))
+    d = tuple(_sl_product(n, p) for p in first_primes(levels))
     return IndexTower(name=f"SL({n},Z)-mod-p({levels})", d=d, l=running_product(d))
 
 

@@ -21,7 +21,6 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InconsistentTower, InsufficientData
@@ -437,4 +436,9 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
 
 def running_product(values: Sequence[int]) -> tuple[int, ...]:
     """Partial products, used to build prime-system towers."""
-    return tuple(accumulate(values, operator.mul))
+    out = []
+    acc = 1
+    for v in values:
+        acc *= v
+        out.append(acc)
+    return tuple(out)

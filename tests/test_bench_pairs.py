@@ -18,9 +18,10 @@ spec.loader.exec_module(bench_pairs)
 METRICS = {"wall_s": "lower", "ops": "higher"}
 
 
-def result(wall: float, ops: float = 0.0, failed: int = 0, attempted: int = 10) -> dict:
+def result(wall: float, ops: float = 0.0, failed: int = 0, attempted: int = 10,
+           correct: bool | None = None) -> dict:
     return {
-        "correct": failed == 0,
+        "correct": failed == 0 if correct is None else correct,
         "attempted": attempted,
         "failed": failed,
         "metrics": {"wall_s": {"value": wall, "unit": "s"}, "ops": {"value": ops, "unit": "1"}},
@@ -64,8 +65,12 @@ def test_summary_counts_wins_ties_and_failures():
     assert block["first_in_pair"] == ["parent", "change", "parent"]
 
 
-def claim_block(parent: list[float], change: list[float], seed: int = 1) -> dict:
+def claim_block(parent: list[float], change: list[float], seed: int = 1,
+                change_run: dict | None = None) -> dict:
+    """Runs with the given wall times; change_run, if given, overrides the
+    change's failed and correct fields in the last pair."""
     runs = [{"parent": result(p), "change": result(c)} for p, c in zip(parent, change)]
+    runs[-1]["change"].update(change_run or {})
     return bench_pairs.summarize(seed, runs, METRICS)
 
 
@@ -84,8 +89,33 @@ def test_claim_needs_nine_of_ten_wins_on_every_seed_and_a_gap_above_the_iqr():
     assert bench_pairs.claim_result([met], "wall_s", "higher").startswith("not met")
 
 
+PARENT = [0.060 + 0.001 * i for i in range(10)]
+FASTER = [p - 0.02 for p in PARENT]
+
+
+def test_claim_needs_at_least_ten_pairs():
+    short = claim_block(PARENT[:9], FASTER[:9])
+    verdict = bench_pairs.claim_result([short], "wall_s", "lower")
+    assert verdict.startswith("not met: 9/9 wins")
+    assert bench_pairs.claim_result([claim_block(PARENT, FASTER)], "wall_s",
+                                    "lower").startswith("met: 10/10 wins")
+
+
+def test_claim_fails_when_the_change_fails_more_operations():
+    # the correct flag is left True so that only the failed counts differ
+    more = claim_block(PARENT, FASTER, change_run={"failed": 1, "correct": True})
+    verdict = bench_pairs.claim_result([more], "wall_s", "lower")
+    assert verdict.startswith("not met") and "failed 0 -> 1" in verdict
+
+
+def test_claim_fails_when_a_change_run_is_not_correct():
+    wrong = claim_block(PARENT, FASTER, change_run={"correct": False})
+    verdict = bench_pairs.claim_result([wrong], "wall_s", "lower")
+    assert verdict.startswith("not met") and "change correct in 9/10 runs" in verdict
+
+
 def test_main_alternates_sides_and_writes_each_block(tmp_path, monkeypatch):
-    spec_file = {"end_to_end": [{"name": "wall_s", "better": "lower"}],
+    spec_file = {"run_seconds": 2, "end_to_end": [{"name": "wall_s", "better": "lower"}],
                  "workloads": [{"name": "w1"}, {"name": "w2"}]}
     calls = []
 
@@ -106,7 +136,7 @@ def test_main_alternates_sides_and_writes_each_block(tmp_path, monkeypatch):
     extra.write_text(json.dumps({"in_process": {"x": 1}}))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(out), "--pairs", "3",
-                             "--seconds", "2", "--seed", "1", "--seed", "7",
+                             "--seed", "1", "--seed", "7",
                              "--claim", "w1:wall_s", "--extra", str(extra)]) == 0
     sides = [name for name, *_ in calls]
     assert sides == ["parent", "change", "change", "parent", "parent", "change"] * 4
@@ -114,7 +144,10 @@ def test_main_alternates_sides_and_writes_each_block(tmp_path, monkeypatch):
     assert {seconds for *_, seconds in calls} == {2.0}
     report = json.loads(out.read_text())
     assert list(report)[-3:] == ["claim", "in_process", "workloads"]
-    assert report["claim"]["result"].startswith("met: 3/3 wins")
+    # every pair won, but three pairs cannot meet a claim
+    assert report["claim"]["result"].startswith("not met: 3/3 wins")
+    assert "3 alternating pairs of 2 s runs" in report["what"]
+    assert "--seconds 2 " in report["command"]
     assert [b["seed"] for b in report["workloads"]["w2"]] == [1, 7]
     assert report["workloads"]["w1"][0]["change"]["wall_s"]["median"] == 0.05
 
@@ -124,4 +157,11 @@ def test_claim_must_name_workload_and_metric(tmp_path, bad):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(tmp_path / "o"),
                           "--claim", bad])
+    assert exc.value.code == 2
+
+
+def test_run_length_comes_only_from_the_benchmark_file(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(tmp_path / "o"),
+                          "--seconds", "2"])
     assert exc.value.code == 2
