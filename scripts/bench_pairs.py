@@ -1,7 +1,7 @@
 """Parent vs change on the benchmark, in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --out BENCH.json \
-        [--workload NAME ...] [--seed N ...] [--pairs 10] \
+        [--workload NAME ...] [--seed N ...] \
         [--claim WORKLOAD:METRIC] [--extra NOTES.json]
 
 Run from the root of a git checkout; REV is any commit or tree (for
@@ -31,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Pairs per workload and seed: the fewest that can show 9 of 10 wins.
+PAIRS = 10
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -86,7 +88,7 @@ def claim_result(blocks: list[dict], metric: str, better: str) -> str:
         wins, pairs = block["wins"][metric], block["pairs"]
         gap = (parent["median"] - change["median"]) * (1 if better == "lower" else -1)
         failed = {side: block[side]["failed"] for side in SIDES}
-        met = (met and pairs >= 10 and wins * 10 >= pairs * 9 and gap > parent["iqr"]
+        met = (met and pairs >= PAIRS and wins * 10 >= pairs * 9 and gap > parent["iqr"]
                and failed["change"] <= failed["parent"]
                and block["change"]["correct_runs"] == pairs)
         parts.append(f"{wins}/{pairs} wins; median {parent['median']} -> {change['median']} "
@@ -146,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--seed", action="append", type=int, help="default: 1 and 7")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", type=claim_arg,
                         help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--extra", type=Path, help="JSON object merged into the output")
@@ -165,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
         result = {
             "what": f"Parent vs change on the benchmark: medians and quartiles of the "
-                    f"end-to-end metrics over {args.pairs} alternating pairs of {seconds:g} s "
+                    f"end-to-end metrics over {PAIRS} alternating pairs of {seconds:g} s "
                     f"runs, seeds {', '.join(map(str, seeds))}",
             "parent_commit": revs["parent"],
             "change_commit": revs["change"],
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         for workload in workloads:
             for seed in seeds:
                 runs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     run = {side: run_once(roots[side], env, workload, seed, seconds)
                            for side in pair_order(i)}
                     runs.append(run)

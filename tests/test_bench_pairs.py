@@ -135,18 +135,17 @@ def test_main_alternates_sides_and_writes_each_block(tmp_path, monkeypatch):
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"in_process": {"x": 1}}))
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(out), "--pairs", "3",
+    assert bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(out),
                              "--seed", "1", "--seed", "7",
                              "--claim", "w1:wall_s", "--extra", str(extra)]) == 0
     sides = [name for name, *_ in calls]
-    assert sides == ["parent", "change", "change", "parent", "parent", "change"] * 4
-    assert [(w, s) for _, w, s, _ in calls[::6]] == [("w1", 1), ("w1", 7), ("w2", 1), ("w2", 7)]
+    assert sides == ["parent", "change", "change", "parent"] * 5 * 4
+    assert [(w, s) for _, w, s, _ in calls[::20]] == [("w1", 1), ("w1", 7), ("w2", 1), ("w2", 7)]
     assert {seconds for *_, seconds in calls} == {2.0}
     report = json.loads(out.read_text())
     assert list(report)[-3:] == ["claim", "in_process", "workloads"]
-    # every pair won, but three pairs cannot meet a claim
-    assert report["claim"]["result"].startswith("not met: 3/3 wins")
-    assert "3 alternating pairs of 2 s runs" in report["what"]
+    assert report["claim"]["result"].startswith("met: 10/10 wins")
+    assert "10 alternating pairs of 2 s runs" in report["what"]
     assert "--seconds 2 " in report["command"]
     assert [b["seed"] for b in report["workloads"]["w2"]] == [1, 7]
     assert report["workloads"]["w1"][0]["change"]["wall_s"]["median"] == 0.05
@@ -160,8 +159,9 @@ def test_claim_must_name_workload_and_metric(tmp_path, bad):
     assert exc.value.code == 2
 
 
-def test_run_length_comes_only_from_the_benchmark_file(tmp_path):
+@pytest.mark.parametrize("option", ("--seconds", "--pairs"))
+def test_run_length_and_pair_count_are_not_options(tmp_path, option):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(tmp_path / "o"),
-                          "--seconds", "2"])
+                          option, "2"])
     assert exc.value.code == 2
