@@ -3,8 +3,10 @@
 One subcommand per library operation, deterministic JSON on stdout
 (sorted keys, no timestamps), an optional CSV projection for commands
 that carry a tower table, and a small JSON interchange format for
-towers and exponent tables.  Exit codes: 0 success, 1 domain error
-(reported as a machine-readable error object), 2 usage error.
+towers and exponent tables.  Exit codes: 0 success; 1 domain error, a
+machine-readable error object on stdout (SchemaError only for tower and
+table files); 2 usage error, including any library ValueError: argparse's
+usage line and message on stderr, nothing on stdout.
 
 Exact rationals are emitted as {"exact": "num/den", "approx": "..."}
 with the approximation rendered to --digits significant digits under
@@ -20,6 +22,7 @@ import json
 import sys
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable
 
@@ -138,10 +141,9 @@ def ell_table_from_json(obj: Any, n: int) -> linear.EllTable:
 def tower_table_rows(t: IndexTower) -> list[dict[str, Any]]:
     """Per-level table: coefficients, measure term, running average."""
     rows = []
-    partial = Fraction(0)
-    for j, dec in enumerate(tower.levels(t), start=1):
-        term = Fraction(dec.s - 1, dec.r * dec.s * dec.t)
-        partial += t.d_at(j) * term
+    partials = accumulate(tower.ave_terms(t))
+    for j, (dec, partial) in enumerate(zip(tower.levels(t), partials), start=1):
+        term = Fraction(dec.s - 1, t.l_at(j))
         rows.append(
             {
                 "j": j,
@@ -278,7 +280,7 @@ def _parse_matrix(text: str) -> linear.IntMatrix:
         )
         return linear.IntMatrix(rows)
     except ValueError as exc:
-        raise SchemaError(f"cannot parse matrix {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse matrix {text!r}: {exc}") from exc
 
 
 def _cmd_matdiv(args) -> tuple[dict, list, None]:
@@ -407,7 +409,7 @@ def _cmd_zeta(args) -> tuple[dict, list, None]:
     else:
         parts = _index_values(args.indices)
         if len(parts) != len(set(parts)):
-            raise SchemaError("indices must be distinct")
+            raise ValueError("indices must be distinct")
         pool = sorted(parts)
         source = "explicit"
     terms = args.terms if args.terms is not None else len(pool)
@@ -606,11 +608,9 @@ def _run(argv: list[str] | None) -> int:
     for key, fallback in OUTPUT_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, fallback)
-    if args.digits < 1:
-        parser.print_usage(sys.stderr)
-        print("resavg: error: --digits must be positive", file=sys.stderr)
-        return 2
     try:
+        if args.digits < 1:
+            raise ValueError("--digits must be positive")
         results, warnings, table_tower = args.handler(args)
         if getattr(args, "out", None):
             try:
@@ -638,11 +638,14 @@ def _run(argv: list[str] | None) -> int:
                     "warnings": warnings,
                 }
             )
-    except (ResavgError, ValueError, TypeError) as exc:
-        domain = isinstance(exc, ResavgError)
-        error = {"type": type(exc).__name__ if domain else "UsageError", "message": str(exc)}
+    except ResavgError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
         _print_json({"schema": SCHEMA, "command": args.command, "error": error})
-        return 1 if domain else 2
+        return 1
+    except ValueError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"resavg: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

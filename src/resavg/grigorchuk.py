@@ -18,7 +18,6 @@ is enumerated; nothing is imported from the literature.  Depth 6 (order
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InsufficientLevels, LevelTooDeep
 from .linear import order_mod_pk
@@ -30,7 +29,6 @@ _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
 MAX_LEVEL = 6
 
 
-@lru_cache(maxsize=None)
 def _generator_perm(gen: str, level: int) -> tuple[int, ...]:
     size = 1 << level
     half = size >> 1
@@ -146,11 +144,6 @@ def _chain_order(perms: list[tuple[int, ...]]) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
-def _level_order(level: int) -> int:
-    return _chain_order([_generator_perm(g, level) for g in GENERATORS])
-
-
 def level_quotient_order(level: int) -> LevelQuotient:
     """Order of the level quotient, from a stabilizer chain.
 
@@ -161,7 +154,8 @@ def level_quotient_order(level: int) -> LevelQuotient:
         raise ValueError("level must be at least 1")
     if level > MAX_LEVEL:
         raise LevelTooDeep(f"level {level} beyond the level bound {MAX_LEVEL}")
-    return LevelQuotient(level=level, order=_level_order(level))
+    order = _chain_order([_generator_perm(g, level) for g in GENERATORS])
+    return LevelQuotient(level=level, order=order)
 
 
 def grig_tower(levels: int) -> IndexTower:

@@ -12,6 +12,7 @@ prime so that consecutive indices land in a controlled growth window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -437,33 +438,23 @@ def select_powers(table: EllTable, params: PowerSelectionParams, count: int) -> 
         raise ValueError(f"parameter dimension {params.n} != table dimension {table.n}")
     if not 1 <= count <= len(table):
         raise ValueError(f"count {count} out of range 1..{len(table)}")
+    # Rows are non-decreasing (EllTable checks it), so depths bisect.
     n2 = params.n * params.n
     target = params.N + params.C * n2
-    first_row = table.rows[0]
-    k1 = None
-    for k in range(1, table.depth + 1):
-        if first_row[k - 1] > target:
-            k1 = k
-            break
-    if k1 is None:
+    k1 = bisect_right(table.rows[0], target) + 1
+    if k1 > table.depth:
         raise TableExhausted(
             f"depth {table.depth} never clears the opening target {target} at prime {table.primes[0]}"
         )
     ks = [k1]
     for j in range(2, count + 1):
         bound = table.ell(j - 1, ks[-1]) + params.C * n2
-        row = table.rows[j - 1]
-        if row[0] > bound:
+        largest = bisect_right(table.rows[j - 1], bound)
+        if largest == 0:
             raise TableExhausted(
                 f"prime {table.primes[j - 1]} starts above the window bound {bound}"
             )
-        largest = 0
-        for k in range(1, table.depth + 1):
-            if row[k - 1] <= bound:
-                largest = k
-            else:
-                break
-        if largest >= table.depth:
+        if largest == table.depth:
             raise TableExhausted(
                 f"depth {table.depth} too shallow past the window bound {bound} "
                 f"at prime {table.primes[j - 1]}"

@@ -420,10 +420,14 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
     term is exp(-s*log(i)), good to about s*ln(i) units in the last
     place, so for the exponents and index sizes used here the sum is
     good to ~1e-14 relative.  Indices past the float range (math.log
-    takes ints of any size) give terms that underflow to 0.  `terms` is
-    capped at the number of distinct indices.
+    takes ints of any size) give terms that underflow to 0; an exponent
+    past it is a ValueError.  `terms` is capped at the number of
+    distinct indices.
     """
-    exponent = float(s) if isinstance(s, float) else float(as_fraction(s))
+    try:
+        exponent = float(s) if isinstance(s, float) else float(as_fraction(s))
+    except OverflowError:
+        raise ValueError(f"exponent {s} is past the float range") from None
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {s}")
     if terms < 0:

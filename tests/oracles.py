@@ -11,7 +11,9 @@ _coefficients, kept as the oracle for the one-big-division pass; the
 per-call coefficient loop and the single-level decomposition over them
 are the former levels() and decompose(), kept as oracles for the pass an
 IndexTower computes once and keeps, and the running-product loop is the
-former is_prime_system, kept for the version that reads that pass.
+former is_prime_system, kept for the version that reads that pass.  The
+per-depth selection scan is the former select_powers, kept as the oracle
+for the version that bisects the non-decreasing exponent rows.
 
 The tree words and their leaf actions check the Grigorchuk generators
 directly.  The frozen dataclasses at the end are twins of the library's
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from resavg import grigorchuk, linear, tower
-from resavg.errors import BoundExceeded, IdentityInput, InconsistentTower
+from resavg.errors import BoundExceeded, IdentityInput, InconsistentTower, TableExhausted
 from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
@@ -226,6 +228,45 @@ def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecompositio
 def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
     return coefficients_three_divisions(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+
+
+def select_powers_scan(
+    table: linear.EllTable, params: linear.PowerSelectionParams, count: int
+) -> tuple[int, ...]:
+    """Depths by a linear scan of each exponent row, depth by depth."""
+    n2 = params.n * params.n
+    target = params.N + params.C * n2
+    first_row = table.rows[0]
+    k1 = None
+    for k in range(1, table.depth + 1):
+        if first_row[k - 1] > target:
+            k1 = k
+            break
+    if k1 is None:
+        raise TableExhausted(
+            f"depth {table.depth} never clears the opening target {target} at prime {table.primes[0]}"
+        )
+    ks = [k1]
+    for j in range(2, count + 1):
+        bound = table.ell(j - 1, ks[-1]) + params.C * n2
+        row = table.rows[j - 1]
+        if row[0] > bound:
+            raise TableExhausted(
+                f"prime {table.primes[j - 1]} starts above the window bound {bound}"
+            )
+        largest = 0
+        for k in range(1, table.depth + 1):
+            if row[k - 1] <= bound:
+                largest = k
+            else:
+                break
+        if largest >= table.depth:
+            raise TableExhausted(
+                f"depth {table.depth} too shallow past the window bound {bound} "
+                f"at prime {table.primes[j - 1]}"
+            )
+        ks.append(largest + 1)
+    return tuple(ks)
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,8 @@ class TestSubcommands:
 
     def test_zeta_rejects_duplicates(self, capsys):
         code, out = run(capsys, "zeta", "--indices", "2,2", "--s", "1")
-        assert code == 1
-        assert json.loads(out)["error"]["type"] == "SchemaError"
+        assert code == 2
+        assert out == ""
 
 
 class TestTowerFileCommands:
@@ -478,6 +478,40 @@ class TestExitCodes:
     def test_invalid_value_is_usage_error(self, capsys):
         code, out = run(capsys, "ave-z", "--terms", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("primes", "--upto", "-5"), "bound must be at least 2, got -5"),
+            (("order", "--group", "sl", "--n", "2", "--q", "5", "--mod-power", "0"),
+             "k must be at least 1"),
+            (("div", "--m", "12", "--mode", "p"), "--mode p requires --prime"),
+            (("ave-z", "--terms", "5", "--csv"),
+             "--csv applies only to commands that carry a tower table"),
+            (("--digits", "0", "ave-z", "--terms", "5"), "--digits must be positive"),
+            (("primes", "--upto", "5", "--digits", "0"), "--digits must be positive"),
+            (("matdiv", "--matrix", "1,x"),
+             "cannot parse matrix '1,x': invalid literal for int() with base 10: 'x'"),
+            (("matdiv", "--matrix", "1,2;3"),
+             "cannot parse matrix '1,2;3': matrix must be square and non-empty"),
+            (("zeta", "--indices", "2,2", "--s", "1"), "indices must be distinct"),
+            (("ave", "--tower", "TOWER", "--terms", "999"), "prefix length 999 out of range 0..5"),
+            (("classify", "--tower", "TOWER", "--window", "0"), "window must be positive"),
+            (("density", "--n", "1", "--upto", "10"), "level sets start at n = 2, got 1"),
+            (("zeta", "--indices", "2", "--s", "1e400"), f"exponent {10**400} is past the float range"),
+            (("zeta", "--indices", "2", "--s=-1e400"), f"exponent {-10**400} is past the float range"),
+        ],
+    )
+    def test_library_value_error_is_argparse_usage_error(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "primes.json"
+        write_tower(tower_primes(5), path)
+        code = main([str(path) if arg == "TOWER" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: resavg ")
+        assert captured.err.endswith(f"\nresavg: error: {message}\n")
+        assert "Traceback" not in captured.err
 
     def test_envelope_keys(self, capsys):
         code, report = run_json(capsys, "ave-z", "--terms", "5")

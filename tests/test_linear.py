@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -43,6 +44,7 @@ from oracles import (
     divisibility_matrix_scan,
     ell_row_per_depth,
     gap_ratio_limit_pairwise,
+    select_powers_scan,
     sl_ratio_scan_loop,
 )
 from test_primes import PSI_12
@@ -547,6 +549,47 @@ class TestPowerSelection:
         t = power_tower(table, ks)
         assert len(t) == 1
         assert is_prime_system(t)
+
+    def test_bisection_matches_the_depth_scan(self):
+        # Random small tables, sized so that selections and all three
+        # TableExhausted messages each occur many times.
+        rng = random.Random(14)
+        ps = first_primes(6)
+        params = {
+            n: [
+                PowerSelectionParams(
+                    n=n, N=math.factorial(n * n) + extra, C=c,
+                    delta=Fraction(2, 5), epsilon=Fraction(1, 5),
+                )
+                for extra in range(1, 8 * n * n + 1)
+                for c in (5, 6, 7)
+            ]
+            for n in (1, 2)
+        }
+        outcomes = {}
+        for _ in range(6000):
+            n = rng.choice((1, 2))
+            size, depth = rng.randint(1, 6), rng.randint(1, 24)
+            steps = range(n * n + 1)
+            rows = [
+                accumulate(rng.choices(steps, k=depth - 1), initial=rng.randint(0, 24 * n * n))
+                for _ in range(size)
+            ]
+            table = EllTable(n=n, primes=ps[:size], rows=rows, orders=[1] * size)
+            chosen, count = rng.choice(params[n]), rng.randint(1, size)
+            try:
+                want = select_powers_scan(table, chosen, count)
+            except TableExhausted as exc:
+                with pytest.raises(TableExhausted) as got:
+                    select_powers(table, chosen, count)
+                assert str(got.value) == str(exc)
+                kind = str(exc).split(" ")[2]
+            else:
+                assert select_powers(table, chosen, count) == want
+                kind = "selected"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert set(outcomes) == {"selected", "never", "starts", "too"}
+        assert min(outcomes.values()) > 100, outcomes
 
     def test_gap_start_needs_a_prime_past_the_gap_constant(self):
         params = PowerSelectionParams(n=1, N=2, C=5, delta=Fraction(2, 5), epsilon=Fraction(1, 5))

@@ -333,6 +333,11 @@ class TestZetaPartial:
         assert zeta_partial([5**600], 2, 1) == 0.0
         assert zeta_partial([2, 5**600], 1, 2) == 0.5
 
+    @pytest.mark.parametrize("s", [Fraction(10**400), -(10**400), "1e400", "-1e400"])
+    def test_exponent_past_the_float_range_is_value_error(self, s):
+        with pytest.raises(ValueError, match=f"exponent {s} is past the float range"):
+            zeta_partial([2], s, 1)
+
     def test_matrix_group_orders(self):
         orders = [6, 24, 120, 336, 1320]
         value = zeta_partial(orders, 1, 5)
