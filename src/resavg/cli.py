@@ -34,16 +34,25 @@ SCHEMA = "resavg.report/1"
 
 # Output flags: accepted before and after the subcommand, never report parameters.
 OUTPUT_DEFAULTS = {"digits": 10, "json": False, "csv": False, "quiet": False}
+# Budget of --digits: a rendering costs memory linear in its digits.
+MAX_DIGITS = 10**6
+
+
+def _check_digits(digits: int, what: str = "digits") -> None:
+    if digits < 1:
+        raise ValueError(f"{what} must be positive")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"{what} must be at most {MAX_DIGITS}, got {digits}")
 
 
 def decimal_str(value: Fraction | int, digits: int = 10) -> str:
     """Render an exact rational to `digits` significant digits.
 
     Correctly rounded (half-even), so the result differs from the exact
-    value by well under one unit in the last rendered digit.
+    value by well under one unit in the last rendered digit.  digits
+    runs from 1 to MAX_DIGITS; any other value is a ValueError.
     """
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    _check_digits(digits)
     fr = Fraction(value)
     ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
     return str(ctx.divide(Decimal(fr.numerator), Decimal(fr.denominator)))
@@ -609,8 +618,7 @@ def _run(argv: list[str] | None) -> int:
         if not hasattr(args, key):
             setattr(args, key, fallback)
     try:
-        if args.digits < 1:
-            raise ValueError("--digits must be positive")
+        _check_digits(args.digits, "--digits")
         results, warnings, table_tower = args.handler(args)
         if getattr(args, "out", None):
             try:

@@ -45,9 +45,14 @@ def d_full(m: int) -> int:
 
 def d_prime(m: int) -> int:
     """Smallest prime not dividing |m|."""
-    m = _abs_nonzero(m)
+    return _prime_walk(_abs_nonzero(m))
+
+
+def _prime_walk(m: int, bound: float = math.inf) -> int:
+    """Smallest prime not dividing m (m > 0), or the first prime past
+    `bound` once every prime up to it divides m: the walk stops there."""
     p = 2
-    while m % p == 0:
+    while p <= bound and m % p == 0:
         p += 1
         while not is_prime(p):
             p += 1

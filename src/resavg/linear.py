@@ -23,7 +23,7 @@ from .errors import (
     InvalidPrimePower,
     TableExhausted,
 )
-from .integers import d_prime
+from .integers import _prime_walk
 from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime
 from .tower import IndexTower, RationalLike, Record, as_fraction, running_product
 
@@ -216,15 +216,16 @@ def divisibility_matrix(gamma: IntMatrix, pmax: int) -> tuple[int, int]:
     gamma not congruent to the identity mod p; since the orders grow
     with p, that kernel also has the least index.  gamma is the identity
     mod p iff p divides every entry of gamma - I, so p is the least prime
-    not dividing their gcd: d_prime of it.
+    not dividing their gcd, and the walk over the primes stops once it
+    passes pmax.
     """
     if gamma.determinant() != 1:
         raise ValueError("matrix must have determinant 1")
     if gamma.is_identity():
         raise IdentityInput("the divisibility function is infinite at the identity")
     n = gamma.n
-    p = d_prime(
-        math.gcd(*(gamma.entries[i][j] - (i == j) for i in range(n) for j in range(n)))
+    p = _prime_walk(
+        math.gcd(*(gamma.entries[i][j] - (i == j) for i in range(n) for j in range(n))), pmax
     )
     if p > pmax:
         raise BoundExceeded(f"gamma reduces to the identity mod every prime <= {pmax}")

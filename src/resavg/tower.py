@@ -21,6 +21,7 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby, islice
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InconsistentTower, InsufficientData
@@ -109,8 +110,8 @@ class IndexTower(Record):
     _fields = ("name", "d", "l")
 
     def __init__(self, name: str, d: Iterable[int], l: Iterable[int]) -> None:
-        d = tuple(int(x) for x in d)
-        l = tuple(int(x) for x in l)
+        d = tuple(map(int, d))
+        l = tuple(map(int, l))
         if len(d) != len(l):
             raise ValueError(f"d and l must have equal length, got {len(d)} and {len(l)}")
         if not d:
@@ -173,17 +174,41 @@ def _check_prefix(tower: IndexTower, j: int) -> None:
         raise ValueError(f"prefix length {j} out of range 0..{len(tower)}")
 
 
+def _exact_quotient(a: int, b: int) -> int | None:
+    """a/b if b divides a, else None (a >= 0, b >= 1).
+
+    The quotient is read off the leading bits and confirmed by one
+    multiply-back, q*b == a, which is the divisibility check itself.
+    With k = 2*len(b) - len(a) - 64 > 0 (len is bit_length), B = b >> k
+    and b = B*2^k + beta, 0 <= beta < 2^k: if a = q*b, then
+    a >> k = floor(q*B + q*beta/2^k) lies in [q*B, q*B + q), so
+    (a >> k) // B = q as soon as q <= B.  q < 2^(len(a) - len(b) + 1),
+    while B >= 2^(len(b) - k - 1) = 2^(len(a) - len(b) + 63): the
+    shifted divisor keeps 63 bits more than the quotient needs.  When
+    b does not divide a, no q passes the multiply-back.  Where k <= 0
+    (or B would be 0, i.e. a < b by 64 bits or more) the floor is a // b.
+    """
+    k = 2 * b.bit_length() - a.bit_length() - 64
+    top = b >> k if k > 0 else 0
+    q = (a >> k) // top if top else a // b
+    return q if q * b == a else None
+
+
 def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j].
 
-    One big-by-big division, s = l[j]/l[j-1].  A prime-system level
-    (s = d[j]) has r = 1, t = l[j-1]; a nested one (l[j] = d[j]) has
-    r = l[j-1], t = 1.  Otherwise r = d[j]/s, and since l[j] = s*l[j-1],
-    d[j] | l[j] iff r | l[j-1], with t = l[j-1]/r.  Only a failing level
-    is divided again, to name the first condition that fails.
+    Every division goes through _exact_quotient, which confirms its
+    quotient by one multiply-back; a quotient much shorter than its
+    divisor, as s is on a tall tower, costs a small division of the
+    leading bits, not a big-by-big divmod.  s = l[j]/l[j-1] comes first.
+    A prime-system level (s = d[j]) has r = 1, t = l[j-1]; a nested one
+    (l[j] = d[j]) has r = l[j-1], t = 1.  Otherwise r = d[j]/s, and
+    since l[j] = s*l[j-1], d[j] | l[j] iff r | l[j-1], with
+    t = l[j-1]/r.  Only a failing level is divided again, to name the
+    first condition that fails.
     """
-    s, rem = divmod(lj, lprev)
-    if rem:
+    s = _exact_quotient(lj, lprev)
+    if s is None:
         raise InconsistentTower(
             f"{name}: l[{j - 1}] = {_show(lprev)} does not divide l[{j}] = {_show(lj)}"
         )
@@ -191,12 +216,12 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
         return LevelDecomposition(1, s, lprev)
     if lj == dj:
         return LevelDecomposition(lprev, s, 1)
-    r, rem = divmod(dj, s)
-    if not rem:
-        t, rem = divmod(lprev, r)
-        if not rem:
+    r = _exact_quotient(dj, s)
+    if r is not None:
+        t = _exact_quotient(lprev, r)
+        if t is not None:
             return LevelDecomposition(r, s, t)
-    if lj % dj:
+    if _exact_quotient(lj, dj) is None:
         why = f"d[{j}] = {_show(dj)} does not divide"
     else:
         why = f"d[{j}]*l[{j - 1}] = {_show(dj * lprev)} is not a multiple of"
@@ -266,7 +291,7 @@ def ave_partial(tower: IndexTower, terms: int) -> Fraction:
     """
     num = 0
     for dec in levels(tower, terms):
-        num = num * dec.s + (dec.s - 1) * dec.r * dec.s
+        num = (num + (dec.s - 1) * dec.r) * dec.s
     return Fraction(num, tower.l_at(terms))
 
 
@@ -294,7 +319,7 @@ def measure_telescope(tower: IndexTower, terms: int) -> Fraction:
     """
     num = 0
     for dec in levels(tower, terms):
-        num = num * dec.s + dec.s - 1
+        num = num * dec.s + (dec.s - 1)
     return Fraction(num, tower.l_at(terms))
 
 
@@ -362,7 +387,7 @@ def is_prime_system(tower: IndexTower) -> bool:
 
 def is_nested(tower: IndexTower) -> bool:
     """True iff l[j] = d[j] at every level (each subgroup inside the last)."""
-    return all(tower.l_at(j) == tower.d_at(j) for j in range(1, len(tower) + 1))
+    return tower.l == tower.d
 
 
 def _power_pair(delta: Fraction) -> Callable[[int, int], bool]:
@@ -432,10 +457,11 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
         raise ValueError(f"exponent must be positive, got {s}")
     if terms < 0:
         raise ValueError("terms must be non-negative")
-    pool = sorted({int(i) for i in indices})
+    pool = sorted(map(int, indices))
     if pool and pool[0] < 1:
         raise ValueError("indices must be positive")
-    return math.fsum(math.exp(-exponent * math.log(i)) for i in pool[:terms])
+    distinct = (i for i, _ in groupby(pool))
+    return math.fsum(math.exp(-exponent * math.log(i)) for i in islice(distinct, terms))
 
 
 def running_product(values: Sequence[int]) -> tuple[int, ...]:

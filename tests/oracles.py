@@ -12,6 +12,9 @@ per-call coefficient loop and the single-level decomposition over them
 are the former levels() and decompose(), kept as oracles for the pass an
 IndexTower computes once and keeps, and the running-product loop is the
 former is_prime_system, kept for the version that reads that pass.  The
+level-by-level loop is the former is_nested, kept for the tuple
+comparison, and the set-based pool is the former zeta_partial, kept for
+the version that sorts and drops adjacent duplicates.  The
 per-depth selection scan is the former select_powers, kept as the oracle
 for the version that bisects the non-decreasing exponent rows.
 
@@ -228,6 +231,27 @@ def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecompositio
 def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
     return coefficients_three_divisions(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+
+
+def is_nested_loop(t: tower.IndexTower) -> bool:
+    """l[j] == d[j], compared level by level."""
+    return all(t.l_at(j) == t.d_at(j) for j in range(1, len(t) + 1))
+
+
+def zeta_partial_set(indices, s, terms: int) -> float:
+    """The former zeta_partial: a set of the indices, sorted, the `terms` smallest summed."""
+    try:
+        exponent = float(s) if isinstance(s, float) else float(as_fraction(s))
+    except OverflowError:
+        raise ValueError(f"exponent {s} is past the float range") from None
+    if exponent <= 0:
+        raise ValueError(f"exponent must be positive, got {s}")
+    if terms < 0:
+        raise ValueError("terms must be non-negative")
+    pool = sorted({int(i) for i in indices})
+    if pool and pool[0] < 1:
+        raise ValueError("indices must be positive")
+    return math.fsum(math.exp(-exponent * math.log(i)) for i in pool[:terms])
 
 
 def select_powers_scan(

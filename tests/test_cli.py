@@ -10,6 +10,7 @@ import resavg.tower
 from conftest import random_moduli_tower
 from resavg.cli import (
     CSV_COLUMNS,
+    MAX_DIGITS,
     decimal_str,
     main,
     read_tower,
@@ -41,6 +42,14 @@ class TestDecimalRendering:
         # exact values render without padding; digits is an upper bound
         assert decimal_str(Fraction(1, 2), 3) == "0.5"
         assert decimal_str(Fraction(0), 5) == "0"
+
+    def test_digits_budget(self):
+        assert decimal_str(Fraction(1, 2), MAX_DIGITS) == "0.5"
+        for digits in (MAX_DIGITS + 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"digits must be at most 1000000, got {digits}"):
+                decimal_str(Fraction(1, 3), digits)
+        with pytest.raises(ValueError, match="digits must be positive"):
+            decimal_str(Fraction(1, 3), 0)
 
     def test_half_even(self):
         assert decimal_str(Fraction(25, 10), 1) == "2"
@@ -500,6 +509,10 @@ class TestExitCodes:
             (("density", "--n", "1", "--upto", "10"), "level sets start at n = 2, got 1"),
             (("zeta", "--indices", "2", "--s", "1e400"), f"exponent {10**400} is past the float range"),
             (("zeta", "--indices", "2", "--s=-1e400"), f"exponent {-10**400} is past the float range"),
+            (("ave-z", "--terms", "5", "--digits", "99999999999999999999"),
+             "--digits must be at most 1000000, got 99999999999999999999"),
+            (("--digits", "1000001", "primes", "--upto", "5"),
+             "--digits must be at most 1000000, got 1000001"),
         ],
     )
     def test_library_value_error_is_argparse_usage_error(self, capsys, tmp_path, argv, message):

@@ -5,8 +5,9 @@ oracles here are the earlier per-level code: decompose with the
 big-by-big remainder (d*l[j-1]) % l[j], and series summed one Fraction
 term at a time.  The pass a tower keeps after first use is checked
 against the per-call loop it replaced (tests/oracles.py), and the pass's
-one-big-division coefficients against the three-division ones they
-replaced, on random levels of every branch and every failure.
+coefficients against the three-division ones they replaced, on random
+levels of every branch and every failure.  The exact-quotient kernel
+behind every division of the pass is checked against floor division.
 """
 
 import math
@@ -379,6 +380,81 @@ def test_pass_on_big_tower_levels():
         assert level_kind(dj, lprev, lj) == kind
         got = outcome(lambda: resavg.tower._coefficients("big", 9, dj, lprev, lj))
         assert got == outcome(lambda: coefficients_three_divisions("big", 9, dj, lprev, lj))
+
+
+# ---------------------------------------------------------------------------
+# the exact-quotient kernel behind every division of the pass
+
+
+def bits(n: int) -> st.SearchStrategy[int]:
+    """Integers of exactly n bits."""
+    return st.integers(2 ** (n - 1), 2**n - 1)
+
+
+@st.composite
+def dividends(draw) -> tuple[int, int]:
+    """(a, b) with a = q*b, or q*b plus a nonzero remainder, over quotients of
+    0 to ~12k bits (1, 63, 64, 65 and ~100 among them) and divisors of 1 to ~10k bits."""
+    b = draw(st.one_of(st.just(1), bits(2), bits(64), bits(97), bits(700), bits(10050)))
+    q = draw(st.one_of(st.integers(0, 3), bits(1), bits(63), bits(64), bits(65), bits(100),
+                       bits(12000), st.integers(0, 2**300)))
+    rem = draw(st.one_of(st.just(0), st.integers(1, b - 1))) if b > 1 else 0
+    return q * b + rem, b
+
+
+@given(dividends())
+@settings(max_examples=400)
+def test_exact_quotient_is_floor_division_when_exact(case):
+    a, b = case
+    assert resavg.tower._exact_quotient(a, b) == (a // b if a % b == 0 else None)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(1, 2**200 + 1, id="a below b by 64 bits and more: shifted divisor 0"),
+        pytest.param(3, 7, id="a below b, k <= 0"),
+        pytest.param(3**6000, 2**9 * 3**6000 + 1, id="a below b by 9 bits, k > 0"),
+        pytest.param(3**9000 * 5, 1, id="b = 1"),
+        pytest.param(3**9000 * 5, 5, id="a far above b: k <= 0, plain floor"),
+        pytest.param((2**63 - 1) * 3**9000, 3**9000, id="quotient of 63 bits"),
+        pytest.param((2**64 - 1) * 3**9000, 3**9000, id="quotient of 64 bits"),
+        pytest.param(2**64 * 3**9000, 3**9000, id="quotient of 65 bits"),
+        pytest.param((2**100 + 7) * (3**9000 + 1), 3**9000 + 1, id="quotient of 101 bits"),
+        pytest.param((2**100 + 7) * (3**9000 + 1) + 1, 3**9000 + 1, id="one above a multiple"),
+        pytest.param((2**100 + 7) * (3**9000 + 1) - 1, 3**9000 + 1, id="one below a multiple"),
+        pytest.param(3**9000, 3**9000, id="quotient 1"),
+        pytest.param(3**9000 - 1, 3**9000, id="one below the divisor"),
+        pytest.param(2**20000 * 3, 2**20000 + 1, id="20k bits, no quotient"),
+    ],
+)
+def test_exact_quotient_edge_cases(a, b):
+    assert resavg.tower._exact_quotient(a, b) == (a // b if a % b == 0 else None)
+
+
+def test_pass_divides_only_through_the_kernel(monkeypatch):
+    """Every quotient of a level comes from _exact_quotient: s on a
+    consistent prime-system or nested level, s, r and t on a generic one,
+    and one more call on a failing level to name the condition."""
+    calls = []
+    real = resavg.tower._exact_quotient
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(resavg.tower, "_exact_quotient", counting)
+    expected = {
+        (3, 2, 6): [(6, 2)],  # prime-system
+        (12, 2, 12): [(12, 2)],  # nested
+        (6, 4, 12): [(12, 4), (6, 3), (4, 2)],  # generic: r = 2, t = 2
+        (6, 4, 13): [(13, 4)],  # l[j-1] fails
+        (9, 4, 12): [(12, 4), (9, 3), (4, 3), (12, 9)],  # d[j] fails, named by one more
+    }
+    for (dj, lprev, lj), want in expected.items():
+        calls.clear()
+        outcome(lambda: resavg.tower._coefficients("k", 2, dj, lprev, lj))
+        assert calls == want, (dj, lprev, lj)
 
 
 def prime_system(d) -> IndexTower:

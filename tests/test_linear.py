@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import pytest
 
+import resavg.integers
 from resavg.errors import (
     BoundExceeded,
     CoprimalityViolation,
@@ -388,6 +389,29 @@ class TestDivisibilityMatrix:
             assert outcome(divisibility_matrix, IntMatrix(matrix), pmax) == outcome(
                 divisibility_matrix_scan, IntMatrix(matrix), pmax
             )
+
+    def test_pmax_bounds_the_prime_walk(self, monkeypatch):
+        k = math.prod(first_primes(4000))  # gamma - I = (k^2, k; k, 0): gcd k
+        gamma = IntMatrix(((1 + k * k, k), (k, 1)))
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(resavg.integers, "is_prime", counting)
+        for pmax in (2, 3, 10):
+            calls.clear()
+            with pytest.raises(BoundExceeded) as exc:
+                divisibility_matrix(gamma, pmax)
+            assert str(exc.value) == f"gamma reduces to the identity mod every prime <= {pmax}"
+            assert len(calls) <= pmax  # the walk stops at the first prime past pmax
+        calls.clear()
+        small = IntMatrix(((1, 30), (0, 1)))  # least prime missing 30 is 7
+        assert divisibility_matrix(small, 7) == (7, sl_order(2, 7))
+        assert len(calls) == 5  # 3, 4, 5, 6, 7
+        with pytest.raises(BoundExceeded):
+            divisibility_matrix(small, 6)
 
     def test_determinant_exact(self):
         assert IntMatrix(((3, 1), (1, 1))).determinant() == 2

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     random_consistent_tower,
     random_nested_tower,
     random_prime_tower,
 )
+from oracles import is_nested_loop, zeta_partial_set
 from resavg.errors import InconsistentTower, InsufficientData
 from resavg.integers import tower_prime_powers, tower_primes
 from resavg.tower import (
@@ -344,3 +347,56 @@ class TestZetaPartial:
         exact = sum((Fraction(1, n) for n in orders), Fraction(0))
         assert abs(value - float(exact)) < 1e-15
         assert abs(value - 0.2204004329004329) < 1e-15
+
+
+def value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestHelpersAgainstOracles:
+    """is_nested against the level-by-level loop, and zeta_partial against the
+    set-based pool it replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def towers():
+        rng = random.Random(61)
+        big = running_product([5**600] + [5**3] * 5)  # every index past the float range
+        for make in (random_nested_tower, random_prime_tower, random_consistent_tower):
+            yield from (make(rng) for _ in range(40))
+        yield IndexTower("duplicates, nested", (4, 4, 8), (4, 4, 8))
+        yield IndexTower("duplicates", (2, 2, 4), (2, 2, 8))
+        yield IndexTower("big, nested", big, big)
+        yield IndexTower("big, last level differs", big, big[:-1] + (2 * big[-1],))
+        yield IndexTower("big, first level differs", big, (2 * big[0],) + big[1:])
+        yield IndexTower("generators", (x for x in big), (x for x in big))
+
+    def test_is_nested(self):
+        for t in self.towers():
+            assert is_nested(t) is is_nested_loop(t), t.name
+
+    @pytest.mark.parametrize("s", [1, 2, "1/2", 0.75])
+    def test_zeta_partial_on_tower_indices(self, s):
+        for t in self.towers():
+            for pool in (t.d, t.l):
+                distinct = len(set(pool))
+                for terms in (0, 1, distinct, distinct + 3):
+                    want = zeta_partial_set(pool, s, terms)
+                    assert zeta_partial(pool, s, terms) == want, (t.name, terms)
+                    assert zeta_partial(iter(pool), s, terms) == want, (t.name, terms)
+
+    @given(
+        st.lists(st.one_of(st.integers(-2, 40), st.integers(2**1020, 2**1030), st.just(5**600))),
+        st.sampled_from([1, 2, "3/2", 0.5, 0, -1]),
+        st.sampled_from(["none", "one", "distinct", "more", "negative"]),
+    )
+    def test_zeta_partial_on_drawn_pools(self, pool, s, which):
+        distinct = len(set(pool))
+        terms = {"none": 0, "one": 1, "distinct": distinct, "more": distinct + 2,
+                 "negative": -1}[which]
+        want = value_or_error(zeta_partial_set, pool, s, terms)
+        assert value_or_error(zeta_partial, pool, s, terms) == want
+        assert value_or_error(zeta_partial, (i for i in pool), s, terms) == want
+
