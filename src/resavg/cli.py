@@ -115,6 +115,8 @@ def _read_json(path: str | Path, what: str) -> Any:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting too deep, or an unreadable value
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_tower(path: str | Path) -> IndexTower:
@@ -437,13 +439,8 @@ def _cmd_zeta(args) -> tuple[dict, list, None]:
 
 def _cmd_tower_check(args) -> tuple[dict, list, IndexTower]:
     t = read_tower(args.tower)
-    first_bad = None
-    for j in range(1, len(t) + 1):
-        try:
-            tower.decompose(t, j)
-        except ResavgError:
-            first_bad = j
-            break
+    _, s, _, error = tower._pass(t)
+    first_bad = None if error is None else len(s) + 1
     results: dict[str, Any] = {
         "tower": t.name,
         "levels": len(t),

@@ -21,7 +21,7 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InconsistentTower, InsufficientData
@@ -152,26 +152,19 @@ class LevelDecomposition(Record):
 
     __slots__ = _fields = ("r", "s", "t")
 
-    def __init__(self, r: int, s: int, t: int) -> None:  # one per level: skips the _fill loop
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+    def __init__(self, r: int, s: int, t: int) -> None:  # one per level returned: slot setters
+        _SET_R(self, r)
+        _SET_S(self, s)
+        _SET_T(self, t)
+
+
+_SET_R, _SET_S, _SET_T = (getattr(LevelDecomposition, k).__set__ for k in ("r", "s", "t"))
 
 
 class GrowthClass(Enum):
     SUB_QUADRATIC = "SubQuadratic"
     SUPER_QUADRATIC = "SuperQuadratic"
     INDETERMINATE = "Indeterminate"
-
-
-def _check_level(tower: IndexTower, j: int) -> None:
-    if not 1 <= j <= len(tower):
-        raise ValueError(f"level {j} out of range 1..{len(tower)}")
-
-
-def _check_prefix(tower: IndexTower, j: int) -> None:
-    if not 0 <= j <= len(tower):
-        raise ValueError(f"prefix length {j} out of range 0..{len(tower)}")
 
 
 def _exact_quotient(a: int, b: int) -> int | None:
@@ -194,7 +187,7 @@ def _exact_quotient(a: int, b: int) -> int | None:
     return q if q * b == a else None
 
 
-def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecomposition:
+def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> tuple[int, int, int]:
     """(r, s, t) at level j from d[j], l[j-1] and l[j].
 
     Every division goes through _exact_quotient, which confirms its
@@ -213,14 +206,14 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
             f"{name}: l[{j - 1}] = {_show(lprev)} does not divide l[{j}] = {_show(lj)}"
         )
     if s == dj:
-        return LevelDecomposition(1, s, lprev)
+        return 1, s, lprev
     if lj == dj:
-        return LevelDecomposition(lprev, s, 1)
+        return lprev, s, 1
     r = _exact_quotient(dj, s)
     if r is not None:
         t = _exact_quotient(lprev, r)
         if t is not None:
-            return LevelDecomposition(r, s, t)
+            return r, s, t
     if _exact_quotient(lj, dj) is None:
         why = f"d[{j}] = {_show(dj)} does not divide"
     else:
@@ -228,10 +221,11 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecom
     raise InconsistentTower(f"{name}: {why} l[{j}] = {_show(lj)}")
 
 
-def _pass(tower: IndexTower) -> tuple[tuple[LevelDecomposition, ...], str | None]:
-    """The levels up to the first inconsistent one, and its InconsistentTower
-    message (or None), computed on first use and kept on the instance.  The
-    pass is pure, so threads that race here store equal values."""
+def _pass(tower: IndexTower) -> tuple:
+    """The int columns r, s and t of the levels up to the first inconsistent
+    one, and its InconsistentTower message (or None), computed on first use
+    and kept on the instance.  The pass is pure, so threads that race here
+    store equal values."""
     try:
         return tower._pass
     except AttributeError:
@@ -243,9 +237,22 @@ def _pass(tower: IndexTower) -> tuple[tuple[LevelDecomposition, ...], str | None
             lprev = lj
     except InconsistentTower as exc:
         error = str(exc)
-    kept = (tuple(out), error)
+    r, s, t = zip(*out) if out else ((), (), ())
+    kept = (r, s, t, error)
     object.__setattr__(tower, "_pass", kept)
     return kept
+
+
+def _columns(tower: IndexTower, count: int | None = None) -> tuple:
+    """The r, s and t columns of levels 1..count (all levels by default), or
+    the pass's InconsistentTower if an inconsistent level is among them."""
+    count = len(tower) if count is None else count
+    if not 0 <= count <= len(tower):
+        raise ValueError(f"prefix length {count} out of range 0..{len(tower)}")
+    r, s, t, error = _pass(tower)
+    if count > len(s):
+        raise InconsistentTower(error)
+    return r[:count], s[:count], t[:count]
 
 
 def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
@@ -256,11 +263,13 @@ def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
     which is the signal that (d, l) cannot come from a subgroup lattice.
     A level past the first inconsistent one is decomposed on its own.
     """
-    _check_level(tower, j)
-    prefix, _ = _pass(tower)
-    if j <= len(prefix):
-        return prefix[j - 1]
-    return _coefficients(tower.name, j, tower.d_at(j), tower.l_at(j - 1), tower.l_at(j))
+    if not 1 <= j <= len(tower):
+        raise ValueError(f"level {j} out of range 1..{len(tower)}")
+    r, s, t, _ = _pass(tower)
+    if j <= len(s):
+        return LevelDecomposition(r[j - 1], s[j - 1], t[j - 1])
+    dj, lprev, lj = tower.d_at(j), tower.l_at(j - 1), tower.l_at(j)
+    return LevelDecomposition(*_coefficients(tower.name, j, dj, lprev, lj))
 
 
 def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecomposition]:
@@ -269,73 +278,71 @@ def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecompositi
     Equal to [decompose(tower, j) for j in 1..count], and raises the same
     InconsistentTower at the first inconsistent level.
     """
-    count = len(tower) if count is None else count
-    _check_prefix(tower, count)
-    prefix, error = _pass(tower)
-    if count > len(prefix):
-        raise InconsistentTower(error)
-    return list(prefix[:count])
+    return list(map(LevelDecomposition, *_columns(tower, count)))
 
 
 def ave_terms(tower: IndexTower, terms: int | None = None) -> list[Fraction]:
     """The series terms (s_j - 1)/t_j of the residual average."""
-    return [Fraction(dec.s - 1, dec.t) for dec in levels(tower, terms)]
+    return [Fraction(sj - 1, tj) for _, sj, tj in zip(*_columns(tower, terms))]
 
 
 def ave_partial(tower: IndexTower, terms: int) -> Fraction:
     """Partial residual average: sum of d[j] (1/l[j-1] - 1/l[j]) over j <= terms.
 
-    Each term (s_j - 1)/t_j is (s_j - 1) r_j s_j over l[j], so the sum is
-    folded Horner-wise over the single denominator l[terms] and
-    normalized once.
+    One fold over the pass's columns.  A term (s_j - 1)/t_j with t_j = 1
+    (every term of a nested tower) is summed as the int s_j - 1; the others,
+    (s_j - 1) r_j s_j over l[j], go Horner-wise into one numerator over
+    l[terms], which an integer level only scales by s_j.
     """
-    num = 0
-    for dec in levels(tower, terms):
-        num = (num + (dec.s - 1) * dec.r) * dec.s
-    return Fraction(num, tower.l_at(terms))
+    whole, num = 0, 0
+    for rj, sj, tj in zip(*_columns(tower, terms)):
+        if tj == 1:
+            whole, num = whole + sj - 1, num * sj
+        else:
+            num = (num + (sj - 1) * rj) * sj
+    return whole + Fraction(num, tower.l_at(terms))
 
 
 def ave_partial_product_form(tower: IndexTower, terms: int) -> Fraction:
     """Partial residual average via the product-form series.
 
-    Sums r_j (s_j - 1) / (s_1 ... s_{j-1}), folded Horner-wise over the
-    denominator s_1 ... s_{terms-1} = l[terms-1].  The numerator fold is
-    a separate code path from ave_partial, so the two published series
-    can be compared on any tower; with coefficients derived from (d, l)
-    they agree term by term, which the test suite checks, not assumes.
+    Sums r_j (s_j - 1) / (s_1 ... s_{j-1}) in one fold over the pass's
+    columns: a term with t_j = 1 is summed as the int s_j - 1, the others
+    go Horner-wise into one numerator over s_1 ... s_{terms-1} = l[terms-1].
+    The numerator fold is a separate code path from ave_partial, so the two
+    published series can be compared on any tower; with coefficients
+    derived from (d, l) they agree term by term, which the test suite
+    checks, not assumes.
     """
-    num, s_prev = 0, 1
-    for dec in levels(tower, terms):
-        num = num * s_prev + dec.r * (dec.s - 1)
-        s_prev = dec.s
-    return Fraction(num, tower.l_at(max(terms - 1, 0)))
+    whole, num, s_prev = 0, 0, 1
+    for rj, sj, tj in zip(*_columns(tower, terms)):
+        if tj == 1:
+            whole, num = whole + sj - 1, num * s_prev
+        else:
+            num = num * s_prev + rj * (sj - 1)
+        s_prev = sj
+    return whole + Fraction(num, tower.l_at(max(terms - 1, 0)))
 
 
 def measure_telescope(tower: IndexTower, terms: int) -> Fraction:
-    """Sum of the first `terms` measure terms (telescopes to 1 - 1/l[J]).
+    """Sum of the first `terms` measure terms (s_j - 1)/l[j].
 
-    Each measure term is (s_j - 1)/l[j]; folded over the denominator
-    l[terms] like ave_partial.
+    The sum telescopes to 1 - 1/l[terms], returned in that closed form
+    after the consistency check of levels(tower, terms); the term-by-term
+    fold is the oracle in the tests.
     """
-    num = 0
-    for dec in levels(tower, terms):
-        num = num * dec.s + (dec.s - 1)
-    return Fraction(num, tower.l_at(terms))
+    _columns(tower, terms)
+    return 1 - Fraction(1, tower.l_at(terms))
 
 
-def _ratio(low: LevelDecomposition, high: LevelDecomposition) -> tuple[int, int]:
-    """Numerator and denominator of the growth ratio between two levels."""
-    return high.r * (high.s - 1), low.r * low.s * (low.s - 1)
-
-
-def _defined_ratios(decs: list[LevelDecomposition]) -> list[int]:
-    """Levels j < J with s_j >= 2, where alpha_j is defined."""
-    return [j for j in range(1, len(decs)) if decs[j - 1].s != 1]
+def _ratio(r: Sequence[int], s: Sequence[int], j: int) -> tuple[int, int]:
+    """Numerator and denominator of alpha_j, the ratio of the terms at levels j + 1 and j."""
+    return r[j] * (s[j] - 1), r[j - 1] * s[j - 1] * (s[j - 1] - 1)
 
 
 def degenerate_levels(tower: IndexTower) -> list[int]:
     """Levels with s_j = 1 (they add nothing and have no growth ratio)."""
-    return [j for j, dec in enumerate(levels(tower), start=1) if dec.s == 1]
+    return [j for j, sj in enumerate(_columns(tower)[1], start=1) if sj == 1]
 
 
 def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
@@ -344,8 +351,8 @@ def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
     alpha_j = r_{j+1}(s_{j+1}-1) / (r_j s_j (s_j-1)) is the ratio of
     consecutive series terms, defined for j < levels with s_j >= 2.
     """
-    decs = levels(tower)
-    return [(j, Fraction(*_ratio(decs[j - 1], decs[j]))) for j in _defined_ratios(decs)]
+    r, s, _ = _columns(tower)
+    return [(j, Fraction(*_ratio(r, s, j))) for j in range(1, len(s)) if s[j - 1] != 1]
 
 
 def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
@@ -360,15 +367,15 @@ def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
     """
     if window < 1:
         raise ValueError("window must be positive")
-    decs = levels(tower)
-    defined = _defined_ratios(decs)
+    r, s, _ = _columns(tower)
+    defined = [j for j in range(1, len(s)) if s[j - 1] != 1]  # where alpha_j is defined
     if len(defined) < window:
         raise InsufficientData(
             f"{tower.name}: {len(defined)} defined ratio(s), window of {window} requested"
         )
     signs = set()
     for j in defined[-window:]:
-        num, den = _ratio(decs[j - 1], decs[j])
+        num, den = _ratio(r, s, j)
         signs.add((num > den) - (num < den))
     if signs == {-1}:
         return GrowthClass.SUB_QUADRATIC
@@ -381,8 +388,8 @@ def is_prime_system(tower: IndexTower) -> bool:
     """True iff l[j] is the full product d[1]...d[j] at every level, i.e.
     iff the kept pass is consistent with r_j = 1 (s_j = d[j]) throughout.
     An inconsistent tower is never a prime system, so this never raises."""
-    prefix, error = _pass(tower)
-    return error is None and all(dec.r == 1 for dec in prefix)
+    r, _, _, error = _pass(tower)
+    return error is None and all(rj == 1 for rj in r)
 
 
 def is_nested(tower: IndexTower) -> bool:
@@ -466,9 +473,4 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
 
 def running_product(values: Sequence[int]) -> tuple[int, ...]:
     """Partial products, used to build prime-system towers."""
-    out = []
-    acc = 1
-    for v in values:
-        acc *= v
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(values, operator.mul))

@@ -12,11 +12,16 @@ per-call coefficient loop and the single-level decomposition over them
 are the former levels() and decompose(), kept as oracles for the pass an
 IndexTower computes once and keeps, and the running-product loop is the
 former is_prime_system, kept for the version that reads that pass.  The
-level-by-level loop is the former is_nested, kept for the tuple
-comparison, and the set-based pool is the former zeta_partial, kept for
-the version that sorts and drops adjacent duplicates.  The
-per-depth selection scan is the former select_powers, kept as the oracle
-for the version that bisects the non-decreasing exponent rows.
+three Horner folds are the former ave_partial, ave_partial_product_form
+and measure_telescope, which carried every term, integer or not, through
+one big numerator: they are kept for the versions that read the pass's
+int columns and sum the integer terms (t_j = 1) as ints, and for the
+telescope's closed form 1 - 1/l[terms].  The level-by-level loop is the
+former is_nested, kept for the tuple comparison, and the set-based pool
+is the former zeta_partial, kept for the version that sorts and drops
+adjacent duplicates.  The per-depth selection scan is the former
+select_powers, kept as the oracle for the version that bisects the
+non-decreasing exponent rows.
 
 The tree words and their leaf actions check the Grigorchuk generators
 directly.  The frozen dataclasses at the end are twins of the library's
@@ -231,6 +236,33 @@ def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecompositio
 def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
     return coefficients_three_divisions(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+
+
+def ave_partial_fold(t: tower.IndexTower, terms: int) -> Fraction:
+    """The former ave_partial: every term (s_j - 1) r_j s_j over l[j], folded
+    Horner-wise over l[terms] whether or not it is an integer."""
+    num = 0
+    for dec in tower.levels(t, terms):
+        num = (num + (dec.s - 1) * dec.r) * dec.s
+    return Fraction(num, t.l_at(terms))
+
+
+def ave_partial_product_form_fold(t: tower.IndexTower, terms: int) -> Fraction:
+    """The former ave_partial_product_form: r_j (s_j - 1) folded Horner-wise
+    over s_1 ... s_{terms-1} = l[terms-1]."""
+    num, s_prev = 0, 1
+    for dec in tower.levels(t, terms):
+        num = num * s_prev + dec.r * (dec.s - 1)
+        s_prev = dec.s
+    return Fraction(num, t.l_at(max(terms - 1, 0)))
+
+
+def measure_telescope_fold(t: tower.IndexTower, terms: int) -> Fraction:
+    """The former measure_telescope: the terms (s_j - 1)/l[j] folded over l[terms]."""
+    num = 0
+    for dec in tower.levels(t, terms):
+        num = num * dec.s + (dec.s - 1)
+    return Fraction(num, t.l_at(terms))
 
 
 def is_nested_loop(t: tower.IndexTower) -> bool:

@@ -586,6 +586,19 @@ class TestExitCodes:
             assert report["error"]["type"] == "SchemaError"
             assert report["error"]["message"].startswith(f"cannot read {what} file {path}: ")
 
+    @pytest.mark.parametrize("command", ["ave", "tower-check", "classify"])
+    def test_deeply_nested_tower_file_is_schema_error(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        deep = "[" * 200_000 + "]" * 200_000
+        path.write_text(f'{{"name": "deep", "d": {deep}, "l": ["2"]}}', encoding="utf-8")
+        code = main([command, "--tower", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].startswith(f"{path}: invalid JSON: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,7 +3,9 @@
 levels() and the single-denominator folds over it are fast paths.  The
 oracles here are the earlier per-level code: decompose with the
 big-by-big remainder (d*l[j-1]) % l[j], and series summed one Fraction
-term at a time.  The pass a tower keeps after first use is checked
+term at a time; the series are also checked against the Horner folds
+they replaced (tests/oracles.py), on towers that mix integer and
+fractional terms.  The pass a tower keeps after first use is checked
 against the per-call loop it replaced (tests/oracles.py), and the pass's
 coefficients against the three-division ones they replaced, on random
 levels of every branch and every failure.  The exact-quotient kernel
@@ -20,12 +22,17 @@ from hypothesis import strategies as st
 
 import resavg.tower
 from oracles import (
+    ave_partial_fold,
+    ave_partial_product_form_fold,
     coefficients_three_divisions,
     decompose_alone,
     is_prime_system_loop,
     levels_loop,
+    measure_telescope_fold,
 )
 from resavg.errors import InconsistentTower, InsufficientData
+from resavg.grigorchuk import slnzp_tower
+from resavg.linear import sl_prime_tower
 from resavg.tower import (
     GrowthClass,
     IndexTower,
@@ -174,6 +181,60 @@ def test_series_match_per_term_sums(t):
         assert ave_partial_product_form(t, terms) == oracle_product_form(decs)
         assert measure_telescope(t, terms) == 1 - Fraction(1, t.l_at(terms))
         assert ave_terms(t, terms) == [Fraction(dec.s - 1, dec.t) for dec in decs]
+
+
+@st.composite
+def mixed_towers(draw) -> IndexTower:
+    """A consistent tower whose levels are each nested (t_j = 1), prime-system
+    (r_j = 1), generic or degenerate (s_j = 1), in any order."""
+    d: list[int] = []
+    l: list[int] = []
+    steps: list[int] = []
+    for j in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("nested", "prime", "generic", "degenerate")))
+        lprev, floor = (l[-1], d[-1]) if l else (1, 2)
+        top = draw(st.sampled_from((12, 2**70)))
+        s = 1 if kind == "degenerate" and j else draw(st.integers(2, top))
+        if kind == "prime":
+            s = max(s, floor)
+            r = 1
+        elif kind in ("generic", "degenerate"):
+            keep = draw(st.lists(st.booleans(), min_size=j, max_size=j))
+            r = math.prod(f for f, k in zip(steps, keep) if k)
+            s = max(s, -(-floor // r)) if kind == "generic" else s
+        else:
+            r = lprev
+        # r = l[j-1] keeps d sorted: d[j] = l[j] >= l[j-1] >= d[j-1]
+        d.append(r * s if r * s >= floor else lprev * s)
+        l.append(lprev * s)
+        steps.append(s)
+    return IndexTower("mixed", tuple(d), tuple(l))
+
+
+def assert_former_folds(t: IndexTower, terms: int) -> None:
+    """The three series equal the Horner folds they replaced, as Fractions."""
+    for got, want in (
+        (ave_partial(t, terms), ave_partial_fold(t, terms)),
+        (ave_partial_product_form(t, terms), ave_partial_product_form_fold(t, terms)),
+        (measure_telescope(t, terms), measure_telescope_fold(t, terms)),
+    ):
+        assert type(got) is Fraction
+        assert got == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mixed_towers())
+def test_series_match_their_former_folds(t):
+    for terms in range(len(t) + 1):
+        assert_former_folds(t, terms)
+
+
+def test_series_match_their_former_folds_on_tall_towers():
+    nested = slnzp_tower(2, 5, 2000)
+    assert ave_partial(nested, 2000) == 119 + 124 * 1999
+    for t in (nested, sl_prime_tower(3, 600)):
+        for terms in (0, 1, 2, len(t) - 1, len(t)):
+            assert_former_folds(t, terms)
 
 
 @PROPERTY
@@ -346,13 +407,18 @@ def random_level(rng: random.Random) -> tuple[int, int, int]:
     return rng.randrange(2, 10**6) | 1, lprev, lj  # mostly both fail
 
 
+def pass_level(name: str, j: int, dj: int, lprev: int, lj: int) -> LevelDecomposition:
+    """The pass's (r, s, t) columns at one level, as a record to compare with the oracle's."""
+    return LevelDecomposition(*resavg.tower._coefficients(name, j, dj, lprev, lj))
+
+
 def test_pass_matches_three_divisions_on_random_levels():
     rng = random.Random(20240613)
     seen: dict[str, int] = {}
     for _ in range(24000):
         dj, lprev, lj = random_level(rng)
         j = rng.randrange(1, 50)
-        got = outcome(lambda: resavg.tower._coefficients("lvl", j, dj, lprev, lj))
+        got = outcome(lambda: pass_level("lvl", j, dj, lprev, lj))
         want = outcome(lambda: coefficients_three_divisions("lvl", j, dj, lprev, lj))
         assert got == want, (dj, lprev, lj)
         kind = level_kind(dj, lprev, lj)
@@ -378,7 +444,7 @@ def test_pass_on_big_tower_levels():
     }
     for kind, (dj, lj) in cases.items():
         assert level_kind(dj, lprev, lj) == kind
-        got = outcome(lambda: resavg.tower._coefficients("big", 9, dj, lprev, lj))
+        got = outcome(lambda: pass_level("big", 9, dj, lprev, lj))
         assert got == outcome(lambda: coefficients_three_divisions("big", 9, dj, lprev, lj))
 
 

@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 
 import pytest
@@ -213,8 +212,9 @@ class TestLcm:
         assert lcm_upto(47).bit_length() > 64
 
     def test_matches_a_fold_of_math_lcm(self):
+        chain = list(accumulate(range(1, 20001), math.lcm, initial=1))  # chain[j] = lcm(1..j)
         for j in (*range(2001), 20000):
-            assert lcm_upto(j) == reduce(math.lcm, range(1, j + 1), 1), j
+            assert lcm_upto(j) == chain[j], j
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
