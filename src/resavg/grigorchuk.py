@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InsufficientLevels, LevelTooDeep
 from .linear import order_mod_pk
-from .tower import IndexTower, Record, running_product
+from .tower import IndexTower, Record, nested_tower
 
 GENERATORS = "abcd"
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
@@ -203,5 +203,4 @@ def slnzp_tower(n: int, p: int, levels: int) -> IndexTower:
     if levels < 1:
         raise ValueError("levels must be positive")
     first = order_mod_pk(n, p, 1, det_one=True)
-    orders = running_product((first,) + (p ** (n * n - 1),) * (levels - 1))
-    return IndexTower(name=f"SL({n},Z_{p})({levels})", d=orders, l=orders)
+    return nested_tower(f"SL({n},Z_{p})({levels})", (first,) + (p ** (n * n - 1),) * (levels - 1))

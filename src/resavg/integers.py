@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .errors import ZeroInput
 from .primes import first_primes, is_prime, lcm_upto
-from .tower import IndexTower, ave_partial, running_product
+from .tower import IndexTower, ave_partial, nested_tower, prime_system_tower
 
 
 def _abs_nonzero(m: int) -> int:
@@ -184,7 +184,7 @@ def tower_primes(levels: int) -> IndexTower:
     if levels < 1:
         raise ValueError("levels must be positive")
     ps = first_primes(levels)
-    return IndexTower(name=f"Z-primes({levels})", d=ps, l=running_product(ps))
+    return prime_system_tower(f"Z-primes({levels})", ps)
 
 
 def tower_prime_powers(p: int, levels: int) -> IndexTower:
@@ -193,5 +193,4 @@ def tower_prime_powers(p: int, levels: int) -> IndexTower:
         raise ValueError(f"p must be prime, got {p}")
     if levels < 1:
         raise ValueError("levels must be positive")
-    powers = running_product((p,) * levels)
-    return IndexTower(name=f"Z-prime-powers({p},{levels})", d=powers, l=powers)
+    return nested_tower(f"Z-prime-powers({p},{levels})", (p,) * levels)

@@ -24,8 +24,8 @@ from .errors import (
     TableExhausted,
 )
 from .integers import _prime_walk
-from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime
-from .tower import IndexTower, RationalLike, Record, as_fraction, running_product
+from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime, iter_primes
+from .tower import IndexTower, RationalLike, Record, as_fraction, prime_system_tower
 
 
 class IntMatrix(Record):
@@ -158,7 +158,7 @@ def sl_prime_tower(n: int, levels: int) -> IndexTower:
     if levels < 1:
         raise ValueError("levels must be positive")
     d = tuple(_sl_product(n, p) for p in first_primes(levels))
-    return IndexTower(name=f"SL({n},Z)-mod-p({levels})", d=d, l=running_product(d))
+    return prime_system_tower(f"SL({n},Z)-mod-p({levels})", d)
 
 
 def gap_ratio_limit_check(n: int, levels: int, slack: RationalLike) -> bool:
@@ -233,38 +233,36 @@ def divisibility_matrix(gamma: IntMatrix, pmax: int) -> tuple[int, int]:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a in (Z/modulus)*."""
+    """Order of a in (Z/modulus)*: phi(modulus), or modulus - 1 if is_prime(modulus), cut down."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if math.gcd(a, modulus) != 1:
         raise CoprimalityViolation(f"{a} is not a unit mod {modulus}")
-    group = _euler_phi(modulus)
+    if is_prime(modulus):
+        group = modulus - 1
+    else:
+        group = modulus
+        for q in _prime_divisors(modulus):
+            group -= group // q
     order = group
-    for q in _prime_factors(group):
+    for q in _prime_divisors(group):
         while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q
     return order
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, in increasing order, by trial
+    division over the primes up to isqrt(n); what is left is 1 or a prime."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _euler_phi(n: int) -> int:
-    phi = n
-    for q in _prime_factors(n):
-        phi -= phi // q
-    return phi
+    for q in iter_primes(math.isqrt(n)):
+        if q * q > n:
+            break
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+    return out + [n] if n > 1 else out
 
 
 class EllTable(Record):
@@ -507,9 +505,10 @@ def power_tower(table: EllTable, ks: tuple[int, ...]) -> IndexTower:
     """Tower with d[j] = orders[j] * p_j**ell(j, k_j) for selected depths.
 
     The supports are distinct primes, so l is taken as the running
-    product; whether the result really is a prime system is a property
-    of the depth-1 orders and is computed by is_prime_system, never
-    asserted here.
+    product of d.  With that l the index data is a prime system by
+    construction, and is_prime_system says so; whether the groups'
+    intersections really have those indices is a property of the
+    depth-1 orders, which this tower does not check.
     """
     d = tuple(table.index_at(j, k) for j, k in enumerate(ks, start=1))
-    return IndexTower(name=f"power-selected(sl,n={table.n})", d=d, l=running_product(d))
+    return prime_system_tower(f"power-selected(sl,n={table.n})", d)

@@ -102,8 +102,9 @@ class IndexTower(Record):
     subgroup lattice would force are checked lazily by decompose() and
     levels(), which raise InconsistentTower on data that cannot arise
     from one; this allows deliberately broken towers to be built and
-    diagnosed.  The coefficient pass runs once, on first use, and is kept
-    in a slot outside the fields, so ==, hash, repr and copies ignore it.
+    diagnosed.  The coefficient pass runs once, on first use (the library's
+    builders set it at construction), and is kept in a slot outside the
+    fields, so ==, hash, repr and copies ignore it.
     """
 
     __slots__ = ("name", "d", "l", "_pass")
@@ -116,18 +117,21 @@ class IndexTower(Record):
             raise ValueError(f"d and l must have equal length, got {len(d)} and {len(l)}")
         if not d:
             raise ValueError("a tower needs at least one level")
-        for j, dj in enumerate(d, start=1):
-            if dj < 2:
-                raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
-        for j, lj in enumerate(l, start=1):
-            if lj < 1:
-                raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
-        for j in range(1, len(d)):
-            if d[j] < d[j - 1]:
-                raise ValueError(
-                    f"d must be non-decreasing: "
-                    f"d[{j}] = {_show(d[j - 1])} > d[{j + 1}] = {_show(d[j])}"
-                )
+        if min(d) < 2:
+            for j, dj in enumerate(d, start=1):
+                if dj < 2:
+                    raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
+        if min(l) < 1:
+            for j, lj in enumerate(l, start=1):
+                if lj < 1:
+                    raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
+        if not all(map(operator.le, d, islice(d, 1, None))):
+            for j in range(1, len(d)):
+                if d[j] < d[j - 1]:
+                    raise ValueError(
+                        f"d must be non-decreasing: "
+                        f"d[{j}] = {_show(d[j - 1])} > d[{j + 1}] = {_show(d[j])}"
+                    )
         self._fill(name, d, l)
 
     def __len__(self) -> int:
@@ -224,8 +228,9 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> tuple[int,
 def _pass(tower: IndexTower) -> tuple:
     """The int columns r, s and t of the levels up to the first inconsistent
     one, and its InconsistentTower message (or None), computed on first use
-    and kept on the instance.  The pass is pure, so threads that race here
-    store equal values."""
+    and kept on the instance, unless prime_system_tower or nested_tower set
+    it at construction.  The pass is pure, so threads that race here store
+    equal values."""
     try:
         return tower._pass
     except AttributeError:
@@ -263,11 +268,11 @@ def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
     which is the signal that (d, l) cannot come from a subgroup lattice.
     A level past the first inconsistent one is decomposed on its own.
     """
+    r, s, t, _ = _pass(tower)
+    if 0 < j <= len(s):
+        return LevelDecomposition(r[j - 1], s[j - 1], t[j - 1])
     if not 1 <= j <= len(tower):
         raise ValueError(f"level {j} out of range 1..{len(tower)}")
-    r, s, t, _ = _pass(tower)
-    if j <= len(s):
-        return LevelDecomposition(r[j - 1], s[j - 1], t[j - 1])
     dj, lprev, lj = tower.d_at(j), tower.l_at(j - 1), tower.l_at(j)
     return LevelDecomposition(*_coefficients(tower.name, j, dj, lprev, lj))
 
@@ -474,3 +479,20 @@ def zeta_partial(indices: Iterable[int], s: RationalLike, terms: int) -> float:
 def running_product(values: Sequence[int]) -> tuple[int, ...]:
     """Partial products, used to build prime-system towers."""
     return tuple(accumulate(values, operator.mul))
+
+
+def prime_system_tower(name: str, d: Sequence[int]) -> IndexTower:
+    """The prime system on indices d, l = running_product(d), with its kept
+    pass set at construction: r_j = 1, s_j = d[j], t_j = l[j-1]."""
+    t = IndexTower(name, d, running_product(d))
+    object.__setattr__(t, "_pass", ((1,) * len(t), t.d, (1,) + t.l[:-1], None))
+    return t
+
+
+def nested_tower(name: str, steps: tuple[int, ...]) -> IndexTower:
+    """The nested tower d = l = running_product(steps), with its kept pass
+    set at construction: r_j = l[j-1], s_j = steps[j], t_j = 1."""
+    orders = running_product(steps)
+    t = IndexTower(name, orders, orders)
+    object.__setattr__(t, "_pass", ((1,) + t.l[:-1], steps, (1,) * len(t), None))
+    return t

@@ -10,14 +10,17 @@ against the per-call loop it replaced (tests/oracles.py), and the pass's
 coefficients against the three-division ones they replaced, on random
 levels of every branch and every failure.  The exact-quotient kernel
 behind every division of the pass is checked against floor division.
+The pass that the library's tower builders set at construction is
+checked against the general pass that a copy of the tower runs.
 """
 
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resavg.tower
@@ -32,7 +35,9 @@ from oracles import (
 )
 from resavg.errors import InconsistentTower, InsufficientData
 from resavg.grigorchuk import slnzp_tower
-from resavg.linear import sl_prime_tower
+from resavg.integers import tower_prime_powers, tower_primes
+from resavg.linear import mult_order_ell_table, power_tower, sl_exact_ell_table, sl_prime_tower
+from resavg.primes import first_primes
 from resavg.tower import (
     GrowthClass,
     IndexTower,
@@ -569,3 +574,86 @@ def test_product_form_at_the_ends_of_the_paper_towers():
         decs = oracle_levels(t, len(t))
         for terms in (0, 1, 2, len(t)):
             assert ave_partial_product_form(fresh(t), terms) == oracle_product_form(decs[:terms])
+
+
+SMALL_PRIMES = st.sampled_from((2, 3, 5, 7, 11))
+
+
+@st.composite
+def power_towers(draw) -> IndexTower:
+    """power_tower on a small table and drawn non-decreasing depths.  A d
+    that the constructor refuses is refused with the plain constructor's
+    message, and the example is dropped."""
+    depth, count = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        table = sl_exact_ell_table(draw(st.integers(2, 3)), count, depth)
+    else:
+        a = draw(st.sampled_from((2, 3, 5, 10)))
+        table = mult_order_ell_table(a, [p for p in first_primes(count + 3) if a % p], depth)
+    ks = sorted(draw(st.lists(st.integers(1, depth), min_size=1, max_size=len(table))))
+    d = [table.index_at(j, k) for j, k in enumerate(ks, start=1)]
+    try:
+        return power_tower(table, tuple(ks))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as plain:
+            IndexTower("plain", d, running_product(d))
+        assert str(exc) == str(plain.value)
+        assume(False)
+
+
+builder_towers = st.one_of(
+    st.builds(sl_prime_tower, st.integers(2, 4), st.integers(1, 30)),
+    st.builds(tower_primes, st.integers(1, 40)),
+    st.builds(tower_prime_powers, SMALL_PRIMES, st.integers(1, 40)),
+    st.builds(slnzp_tower, st.integers(2, 3), SMALL_PRIMES, st.integers(1, 40)),
+    power_towers(),
+)
+
+
+@PROPERTY
+@given(builder_towers)
+def test_builder_pass_matches_the_general_pass(t):
+    rebuilt = copy.copy(t)
+    assert not hasattr(rebuilt, "_pass")
+    assert resavg.tower._pass(t) == resavg.tower._pass(rebuilt)
+    assert levels(t) == levels(rebuilt)
+    for terms in {0, 1, len(t) // 2, len(t)}:
+        assert ave_partial(t, terms) == ave_partial(rebuilt, terms)
+        assert ave_partial_product_form(t, terms) == ave_partial_product_form(rebuilt, terms)
+    for window in (1, 10):
+        assert outcome(lambda: classify(t, window)) == outcome(lambda: classify(rebuilt, window))
+    assert is_prime_system(t) is is_prime_system(rebuilt)
+
+
+def test_builder_towers_run_no_coefficient_pass(monkeypatch):
+    calls = []
+    real = resavg.tower._coefficients
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(resavg.tower, "_coefficients", counting)
+    table = sl_exact_ell_table(2, 12, 3)
+    for t in (
+        sl_prime_tower(3, 40),
+        power_tower(table, (1,) * 6 + (2,) * 6),
+        tower_primes(40),
+        tower_prime_powers(3, 40),
+        slnzp_tower(2, 5, 40),
+    ):
+        for j in range(1, len(t) + 1):
+            decompose(t, j)
+        levels(t)
+        for terms in (0, 1, len(t)):
+            ave_partial(t, terms)
+            ave_partial_product_form(t, terms)
+            measure_telescope(t, terms)
+            ave_terms(t, terms)
+        alphas(t)
+        degenerate_levels(t)
+        classify(t, window=10)
+        is_prime_system(t)
+        assert calls == [], t.name
+    decompose(copy.copy(t), 2)  # a copy runs the general pass
+    assert calls == list(range(1, 41))

@@ -69,6 +69,22 @@ class TestConstruction:
                 IndexTower("big", d, l)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "d, l, message",
+        [
+            ((1, 0, 5, 3), (0, 1, -1, 2), "d[1] = 1: subgroup indices must be at least 2"),
+            ((2, 1, 5, 0), (0, 2, 1, -4), "d[2] = 1: subgroup indices must be at least 2"),
+            ((9, 4, 5, 3), (1, 0, 6, -2), "l[2] = 0: intersection indices must be positive"),
+            ((2, 9, 4, 3), (2, 2, 1, 1), "d must be non-decreasing: d[2] = 9 > d[3] = 4"),
+            ((2, 2, 9, 4, 3), (1,) * 5, "d must be non-decreasing: d[3] = 9 > d[4] = 4"),
+        ],
+    )
+    def test_several_broken_rules_name_the_first_of_the_first(self, d, l, message):
+        # the rules run in the order d >= 2, l >= 1, d non-decreasing
+        with pytest.raises(ValueError) as info:
+            IndexTower("broken", d, l)
+        assert str(info.value) == message
+
     def test_divisibility_is_lazy(self):
         # constructible on purpose; the inconsistency surfaces in decompose
         t = IndexTower("lazy", (2, 3, 4), (2, 6, 8))
@@ -78,6 +94,15 @@ class TestConstruction:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("j", [0, -1, -3, 4, 5])
+    def test_level_out_of_range(self, j):
+        # on a fresh tower, on one whose pass is kept, and on a builder tower
+        for t in (IndexTower("t", (2, 3, 5), (2, 6, 30)), PZ3, tower_primes(3)):
+            for _ in range(2):
+                with pytest.raises(ValueError) as info:
+                    decompose(t, j)
+                assert str(info.value) == f"level {j} out of range 1..3"
+
     def test_prime_tower_level_2(self):
         dec = decompose(PZ3, 2)
         assert (dec.r, dec.s, dec.t) == (1, 3, 2)
