@@ -24,7 +24,7 @@ from .errors import (
     TableExhausted,
 )
 from .integers import _prime_walk
-from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime, iter_primes
+from .primes import _MR_WITNESSES, _wide_gaps, first_primes, is_prime
 from .tower import IndexTower, RationalLike, Record, as_fraction, prime_system_tower
 
 
@@ -233,36 +233,38 @@ def divisibility_matrix(gamma: IntMatrix, pmax: int) -> tuple[int, int]:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a in (Z/modulus)*: phi(modulus), or modulus - 1 if is_prime(modulus), cut down."""
+    """Order of a in (Z/modulus)*."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if math.gcd(a, modulus) != 1:
         raise CoprimalityViolation(f"{a} is not a unit mod {modulus}")
-    if is_prime(modulus):
-        group = modulus - 1
-    else:
-        group = modulus
-        for q in _prime_divisors(modulus):
-            group -= group // q
+    group = _euler_phi(modulus)
     order = group
-    for q in _prime_divisors(group):
+    for q in _prime_factors(group):
         while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q
     return order
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct prime divisors of n >= 1, in increasing order, by trial
-    division over the primes up to isqrt(n); what is left is 1 or a prime."""
+def _prime_factors(n: int) -> list[int]:
     out = []
-    for q in iter_primes(math.isqrt(n)):
-        if q * q > n:
-            break
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-    return out + [n] if n > 1 else out
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _euler_phi(n: int) -> int:
+    phi = n
+    for q in _prime_factors(n):
+        phi -= phi // q
+    return phi
 
 
 class EllTable(Record):

@@ -117,21 +117,18 @@ class IndexTower(Record):
             raise ValueError(f"d and l must have equal length, got {len(d)} and {len(l)}")
         if not d:
             raise ValueError("a tower needs at least one level")
-        if min(d) < 2:
-            for j, dj in enumerate(d, start=1):
-                if dj < 2:
-                    raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
-        if min(l) < 1:
-            for j, lj in enumerate(l, start=1):
-                if lj < 1:
-                    raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
-        if not all(map(operator.le, d, islice(d, 1, None))):
-            for j in range(1, len(d)):
-                if d[j] < d[j - 1]:
-                    raise ValueError(
-                        f"d must be non-decreasing: "
-                        f"d[{j}] = {_show(d[j - 1])} > d[{j + 1}] = {_show(d[j])}"
-                    )
+        for j, dj in enumerate(d, start=1):
+            if dj < 2:
+                raise ValueError(f"d[{j}] = {_show(dj)}: subgroup indices must be at least 2")
+        for j, lj in enumerate(l, start=1):
+            if lj < 1:
+                raise ValueError(f"l[{j}] = {_show(lj)}: intersection indices must be positive")
+        for j in range(1, len(d)):
+            if d[j] < d[j - 1]:
+                raise ValueError(
+                    f"d must be non-decreasing: "
+                    f"d[{j}] = {_show(d[j - 1])} > d[{j + 1}] = {_show(d[j])}"
+                )
         self._fill(name, d, l)
 
     def __len__(self) -> int:
@@ -228,9 +225,8 @@ def _coefficients(name: str, j: int, dj: int, lprev: int, lj: int) -> tuple[int,
 def _pass(tower: IndexTower) -> tuple:
     """The int columns r, s and t of the levels up to the first inconsistent
     one, and its InconsistentTower message (or None), computed on first use
-    and kept on the instance, unless prime_system_tower or nested_tower set
-    it at construction.  The pass is pure, so threads that race here store
-    equal values."""
+    and kept on the instance, or set at construction by the library's builders.
+    The pass is pure, so threads that race here store equal values."""
     try:
         return tower._pass
     except AttributeError:
@@ -489,10 +485,11 @@ def prime_system_tower(name: str, d: Sequence[int]) -> IndexTower:
     return t
 
 
-def nested_tower(name: str, steps: tuple[int, ...]) -> IndexTower:
+def nested_tower(name: str, steps: Sequence[int]) -> IndexTower:
     """The nested tower d = l = running_product(steps), with its kept pass
     set at construction: r_j = l[j-1], s_j = steps[j], t_j = 1."""
-    orders = running_product(steps)
+    s = tuple(map(int, steps))
+    orders = running_product(s)
     t = IndexTower(name, orders, orders)
-    object.__setattr__(t, "_pass", ((1,) + t.l[:-1], steps, (1,) * len(t), None))
+    object.__setattr__(t, "_pass", ((1,) + t.l[:-1], s, (1,) * len(t), None))
     return t

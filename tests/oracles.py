@@ -21,10 +21,7 @@ former is_nested, kept for the tuple comparison, and the set-based pool
 is the former zeta_partial, kept for the version that sorts and drops
 adjacent duplicates.  The per-depth selection scan is the former
 select_powers, kept as the oracle for the version that bisects the
-non-decreasing exponent rows.  Trial division by every integer is the
-former prime factorization and Euler phi of multiplicative_order, kept
-for the version that takes p - 1 at a prime modulus and divides by
-sieved primes only.
+non-decreasing exponent rows.
 
 The tree words and their leaf actions check the Grigorchuk generators
 directly.  The frozen dataclasses at the end are twins of the library's
@@ -214,38 +211,6 @@ def coefficients_three_divisions(
             f"is not a multiple of l[{j}] = {_show(lj)}"
         )
     return tower.LevelDecomposition(r, s, t)
-
-
-def prime_factors_loop(n: int) -> list[int]:
-    """The distinct prime factors of n, by trial division d = 2, 3, 4, ..."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def euler_phi_loop(n: int) -> int:
-    phi = n
-    for q in prime_factors_loop(n):
-        phi -= phi // q
-    return phi
-
-
-def multiplicative_order_loop(a: int, modulus: int) -> int:
-    """Order of the unit a mod `modulus`, from phi and its factors by trial division."""
-    group = euler_phi_loop(modulus)
-    order = group
-    for q in prime_factors_loop(group):
-        while order % q == 0 and pow(a, order // q, modulus) == 1:
-            order //= q
-    return order
 
 
 def is_prime_system_loop(t: tower.IndexTower) -> bool:

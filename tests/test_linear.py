@@ -7,7 +7,6 @@ from itertools import accumulate
 import pytest
 
 import resavg.integers
-import resavg.linear
 from resavg.errors import (
     BoundExceeded,
     CoprimalityViolation,
@@ -46,8 +45,6 @@ from oracles import (
     divisibility_matrix_scan,
     ell_row_per_depth,
     gap_ratio_limit_pairwise,
-    multiplicative_order_loop,
-    prime_factors_loop,
     select_powers_scan,
     sl_ratio_scan_loop,
 )
@@ -428,33 +425,6 @@ class TestMultiplicativeOrders:
         assert multiplicative_order(2, 7) == 3
         with pytest.raises(CoprimalityViolation):
             multiplicative_order(6, 9)
-
-    def test_orders_match_trial_division_below_5000(self):
-        rng = random.Random(23)
-        for m in range(2, 5000):
-            assert resavg.linear._prime_divisors(m) == prime_factors_loop(m), m
-            for a in {2, m - 1, rng.randrange(2, m + 2)}:
-                if math.gcd(a, m) == 1:
-                    assert multiplicative_order(a, m) == multiplicative_order_loop(a, m), (a, m)
-
-    def test_orders_match_trial_division_up_to_10_12(self):
-        rng = random.Random(29)
-        moduli = [rng.randrange(2, 10**12) for _ in range(8)]
-        moduli += [10**12 - 11, 999999000001, 999983**2, 2 * 999983, 2**39, 3**25]
-        assert is_prime(moduli[8]) and is_prime(moduli[9])
-        for m in moduli:
-            assert resavg.linear._prime_divisors(m) == prime_factors_loop(m), m
-            a = rng.randrange(2, m)
-            while math.gcd(a, m) != 1:
-                a += 1
-            assert multiplicative_order(a, m) == multiplicative_order_loop(a, m), (a, m)
-
-    @pytest.mark.parametrize("a", [-3, 2, 3, 10])
-    def test_ell_table_unchanged_under_trial_division_orders(self, monkeypatch, a):
-        ps = tuple(p for p in first_primes(300) if a % p) + (1006003,)
-        table = mult_order_ell_table(a, ps, 3)
-        monkeypatch.setattr(resavg.linear, "multiplicative_order", multiplicative_order_loop)
-        assert mult_order_ell_table(a, ps, 3) == table
 
     def test_ell_rows(self):
         table = mult_order_ell_table(2, (3,), 3)
