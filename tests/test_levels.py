@@ -625,6 +625,22 @@ def test_builder_pass_matches_the_general_pass(t):
     assert is_prime_system(t) is is_prime_system(rebuilt)
 
 
+@pytest.mark.parametrize(
+    "build, data",
+    [
+        (resavg.tower.prime_system_tower, [2, 3, 5, 7]),
+        (resavg.tower.nested_tower, [120, 125, 125]),
+        (resavg.tower.nested_tower, (5, True, 5)),
+    ],
+)
+def test_builder_columns_are_tuples_of_ints_from_any_sequence(build, data):
+    t = build("any-sequence", data)
+    columns = resavg.tower._pass(t)
+    assert columns == resavg.tower._pass(copy.copy(t))
+    for column in columns[:3]:
+        assert type(column) is tuple and all(type(x) is int for x in column)
+
+
 def test_builder_towers_run_no_coefficient_pass(monkeypatch):
     calls = []
     real = resavg.tower._coefficients
