@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -597,7 +598,13 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left: stdout goes to devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

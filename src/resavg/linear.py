@@ -187,7 +187,7 @@ def sl_ratio_scan(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, int]]:
     |SL(n,F_q)| < q^e and |SL(n,F_p)| >= p^e (1 - p^-2)^(n-1), so a pair
     can win only if q^e * den * p^(2(n-1)) > num * p^e * (p^2 - 1)^(n-1).
     The least such q is an integer root plus one, and only gaps reaching
-    it are visited (primes._wide_gaps); the other pairs need no order.
+    it are visited (primes._wide_gaps, which refuses hi >= psi_13).
     """
     num, den = 0, 1
     witness = (0, 0)

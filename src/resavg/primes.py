@@ -1,20 +1,17 @@
 """Prime generation, consecutive-gap verification, and lcm(1..j).
 
-Deterministic throughout: one segmented sieve for every bound (memory
-bounded by the segment, workable to about 1e8), and Miller-Rabin for
-spot checks.  psi_k, the least odd composite that is a strong
-probable prime to each of the first k prime bases, is published for
-k <= 13 (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
-Comp. 86, 2017), so the first k primes are exact witnesses below psi_k.
-is_prime runs the shortest such prefix for n: two bases below
-1,373,653, all 13 at or above psi_12, exact below
-psi_13 = 3317044064679887385961981, a strong probable-prime test above.
+Deterministic throughout: one segmented sieve, in blocks taken only as
+far as a caller reads, and Miller-Rabin.  psi_k, the least odd composite
+that is a strong probable prime to each of the first k prime bases, is
+published for k <= 13 (Jaeschke, Math. Comp. 61, 1993; Sorenson and
+Webster, Math. Comp. 86, 2017), so the first k primes are exact
+witnesses below psi_k, and is_prime below psi_13 = 3317044064679887385961981.
 
 Maximum-ratio scans over consecutive primes visit only the gaps wide
 enough to beat the running best num/den.  A pair (p, q) can win only if
 q - p >= min_gap(p), a bound fixed by p and the best so far: for q/p it
-is floor(p(num - den)/den) + 1.  bytearray.find on the sieve flags
-jumps straight to the next run of min_gap(p) - 1 composites.
+is floor(p(num - den)/den) + 1.  Runs of composites that long are found
+on the sieve flags or, once wide, by is_prime probes (below psi_13 only).
 
 lcm_upto takes one sieve pass per call; the module keeps no state.
 """
@@ -28,6 +25,7 @@ from itertools import compress, islice
 from typing import Callable, Iterator
 
 _SEGMENT = 1 << 20
+_PROBE_GAP = 128  # about where probing overtakes the sieve walk (_wide_gaps)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_1..psi_12: the first k witnesses are exact for every n < psi_k.
@@ -45,6 +43,7 @@ _PSI = (
     3825123056546413051,
     318665857834031151167461,
 )
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -77,19 +76,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
-    """Sieve [max(lo, 2), hi] in blocks of at most _SEGMENT numbers.
+def _segments(lo: int, hi: int, grow: bool = False) -> Iterator[tuple[int, bytearray]]:
+    """Sieve [max(lo, 2), hi] in blocks of _SEGMENT numbers.
 
-    Yields (start, flags) with flags[i] == 1 iff start + i is prime.  The
-    base primes up to isqrt(hi) come from iter_primes, which sieves them
-    the same way, so memory stays bounded by one block for any bound.
+    Yields (start, flags) with flags[i] == 1 iff start + i is prime.  With
+    grow, for walks that may stop early, the block from lo ends at 3 * lo
+    and is 4,096 numbers or more, as each block pays a pass over its base
+    primes.  Those are sieved to isqrt(min(hi, 4 * top)) when a block below
+    top needs more, so nothing past the last block taken is sieved.
     """
     lo = max(lo, 2)
-    if hi < lo:
-        return
-    base = list(iter_primes(math.isqrt(hi)))
+    have, base = 1, []  # base: the primes <= have
     while lo <= hi:
-        top = min(lo + _SEGMENT, hi + 1)
+        size = min(max(1 << 12, 2 * lo), _SEGMENT) if grow else _SEGMENT
+        top = min(lo + size, hi + 1)
+        if math.isqrt(top - 1) > have:
+            have = math.isqrt(min(hi, 4 * top))
+            base = list(iter_primes(have))
         flags = bytearray([1]) * (top - lo)
         for p in base:
             if p * p >= top:
@@ -111,23 +114,25 @@ def _wide_gaps(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tupl
 
     p runs from the first prime >= lo.  min_gap is read again after every
     pair yielded, and between yields it must not decrease along the
-    primes: from a prime p the walk jumps to the first run of
-    min_gap(p) - 1 composites (bytearray.find on the sieve flags), since
-    no narrower gap in between can reach min_gap of its own left prime.
-    The needle is capped at the block length; a run too long for the
-    block leaves its last prime to be paired across the block edge.
+    primes, so the walk may jump to the last prime below p + min_gap(p):
+    while g = min_gap(p) < _PROBE_GAP * p.bit_length(), by bytearray.find
+    for a run of g - 1 composites in the sieve flags (the needle capped at
+    the block length, a longer run paired across the block edge), then by
+    _probe_gaps, which sieves nothing more.  hi >= psi_13 is refused.
     """
+    if hi >= _PSI_13:
+        raise ValueError(f"prime gap scans are exact only below psi_13 = {_PSI_13}, got {hi}")
     p = 0
-    for start, flags in _segments(lo, hi):
+    for start, flags in _segments(lo, hi, grow=True):
         i = 0
         if not p:
             i = flags.find(1)
             if i < 0:
                 continue
-            p = start + i
+            p, g = start + i, min_gap(start + i)
             i += 1
         while (j := flags.find(1, i)) >= 0:
-            if start + j - p >= min_gap(p):
+            if start + j - p >= g:
                 yield p, start + j
             p, i = start + j, j + 1
             k = flags.find(bytes(min(min_gap(p) - 1, len(flags))), i)
@@ -135,9 +140,27 @@ def _wide_gaps(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tupl
             r = flags.rfind(1, i, len(flags) if k < 0 else k)
             if r >= 0:
                 p = start + r
+            g = min_gap(p)
+            if g >= _PROBE_GAP * p.bit_length():
+                yield from _probe_gaps(p, g, hi, min_gap)
+                return
             if k < 0:
                 break
             i = k
+
+
+def _probe_gaps(p: int, g: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """_wide_gaps from the prime p, g = min_gap(p), by is_prime on odd numbers:
+    down from min(p + g - 1, hi) to the last prime > p, jumping there, or
+    with none, up from p + g to the next prime <= hi, paired with p."""
+    while True:
+        r = next(filter(is_prime, range((min(p + g - 1, hi) - 1) | 1, p, -2)), 0)
+        if not r:
+            r = next(filter(is_prime, range((p + g) | 1, hi + 1, 2)), 0)
+            if not r:
+                return
+            yield p, r
+        p, g = r, min_gap(r)
 
 
 def primes_upto(bound: int) -> tuple[int, ...]:
@@ -167,10 +190,9 @@ def bertrand_verify(bound: int) -> tuple[Fraction, tuple[int, int]]:
     witness.  The classical gap bound says this never exceeds 2; callers
     assert that rather than assume it.
 
-    A pair beats the running best num/den iff q*den > num*p, that is iff
-    q - p > p(num - den)/den.  So only gaps of at least
-    floor(p(num - den)/den) + 1 are visited (_wide_gaps), each of which
-    is a new best; the rest of the sieve is skipped.
+    A pair beats the running best num/den iff q - p > p(num - den)/den, so
+    only gaps of at least floor(p(num - den)/den) + 1 are visited
+    (_wide_gaps), each a new best.  A bound >= psi_13 is a ValueError.
     """
     if bound < 3:
         raise ValueError(f"bound must be at least 3, got {bound}")

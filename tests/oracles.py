@@ -6,7 +6,8 @@ per-depth exponent rows, the pairwise gap-ratio loop and the per-prime
 ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
 gap-skipping scans; so is the per-prime matrix scan, for the gcd route
-of divisibility_matrix.  The three-division coefficients are the former
+of divisibility_matrix, and the sieve-only gap walk, for the walk that
+probes with is_prime once the gap it needs is wide.  The three-division coefficients are the former
 _coefficients, kept as the oracle for the one-big-division pass; the
 per-call coefficient loop and the single-level decomposition over them
 are the former levels() and decompose(), kept as oracles for the pass an
@@ -36,8 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from typing import Callable, Iterator
 
-from resavg import grigorchuk, linear, tower
+from resavg import grigorchuk, linear, primes, tower
 from resavg.errors import BoundExceeded, IdentityInput, InconsistentTower, TableExhausted
 from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
@@ -169,6 +171,30 @@ def sl_ratio_scan_loop(n: int, lo: int, hi: int) -> tuple[Fraction, tuple[int, i
             num, den, witness = order, prev_order, (prev, p)
         prev, prev_order = p, order
     return Fraction(num, den), witness
+
+
+def wide_gaps_sieve(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """The former primes._wide_gaps: the sieve walk alone, over every block to hi."""
+    p = 0
+    for start, flags in primes._segments(lo, hi):
+        i = 0
+        if not p:
+            i = flags.find(1)
+            if i < 0:
+                continue
+            p = start + i
+            i += 1
+        while (j := flags.find(1, i)) >= 0:
+            if start + j - p >= min_gap(p):
+                yield p, start + j
+            p, i = start + j, j + 1
+            k = flags.find(bytes(min(min_gap(p) - 1, len(flags))), i)
+            r = flags.rfind(1, i, len(flags) if k < 0 else k)
+            if r >= 0:
+                p = start + r
+            if k < 0:
+                break
+            i = k
 
 
 def divisibility_matrix_scan(gamma: linear.IntMatrix, pmax: int) -> tuple[int, int]:

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -513,6 +516,9 @@ class TestExitCodes:
              "--digits must be at most 1000000, got 99999999999999999999"),
             (("--digits", "1000001", "primes", "--upto", "5"),
              "--digits must be at most 1000000, got 1000001"),
+            (("bertrand", "--upto", "3317044064679887385961981"),
+             "prime gap scans are exact only below psi_13 = 3317044064679887385961981, "
+             "got 3317044064679887385961981"),
         ],
     )
     def test_library_value_error_is_argparse_usage_error(self, capsys, tmp_path, argv, message):
@@ -525,6 +531,20 @@ class TestExitCodes:
         assert captured.err.startswith("usage: resavg ")
         assert captured.err.endswith(f"\nresavg: error: {message}\n")
         assert "Traceback" not in captured.err
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # ~770 kB of report against a 64 kB pipe: the write after the reader
+        # has gone raises BrokenPipeError
+        env = dict(os.environ, PYTHONPATH=str(Path(resavg.tower.__file__).parents[1]))
+        argv = ["slzp", "--n", "2", "--p", "5", "--levels", "600"]
+        proc = subprocess.Popen([sys.executable, "-m", "resavg.cli", *argv], cwd=tmp_path, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
 
     def test_envelope_keys(self, capsys):
         code, report = run_json(capsys, "ave-z", "--terms", "5")

@@ -48,7 +48,7 @@ from oracles import (
     select_powers_scan,
     sl_ratio_scan_loop,
 )
-from test_primes import PSI_12
+from test_primes import PSI_12, PSI_13
 
 
 class TestOrders:
@@ -233,6 +233,13 @@ class TestSlPrimeTower:
 
     def test_ratio_scan_to_a_million(self):
         assert sl_ratio_scan(2, 100, 10**6) == (Fraction(3048, 2147), (113, 127))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ratio_scan_past_exact_primality_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"exact only below psi_13 = {PSI_13}, got {PSI_13}"):
+            sl_ratio_scan(n, 100, PSI_13)
+        # the largest exact bound: the walk probes from p ~ 1.7e4 (n = 2) or 103 (n = 1) on
+        assert sl_ratio_scan(n, 100, PSI_13 - 1) == sl_ratio_scan(n, 100, 10**4)
 
 
 class TestRatioScanGapSkips:

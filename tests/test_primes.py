@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bertrand_loop
+from oracles import bertrand_loop, wide_gaps_sieve
 from resavg import primes
 from resavg.primes import (
     bertrand_verify,
@@ -132,6 +132,169 @@ class TestPrimesUpto:
         bound = limit + 2000
         got = [p for p in iter_primes(bound) if p > limit]
         assert got == [n for n in range(limit + 1, bound + 1) if is_prime(n)]
+
+
+class TestSegments:
+    def test_blocks(self):
+        # full-size blocks from lo; grown ones end at 3 * lo, at least 4096 long
+        hi = 3 << 20
+        for lo in (2, 3, 1000, 5000, 400000):
+            assert [(s, len(f)) for s, f in primes._segments(lo, hi)] == [
+                (s, min(1 << 20, hi + 1 - s)) for s in range(lo, hi + 1, 1 << 20)
+            ]
+            s, want = lo, []
+            while s <= hi:
+                top = min(max(3 * s, s + 4096), s + (1 << 20), hi + 1)
+                want.append((s, top - s))
+                s = top
+            assert [(s, len(f)) for s, f in primes._segments(lo, hi, grow=True)] == want
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_base_primes_go_only_as_far_as_the_blocks_taken(self, monkeypatch, grow):
+        calls = []
+        real = primes._segments
+
+        def spy(lo, hi, grow=False):
+            calls.append((lo, hi))
+            return real(lo, hi, grow)
+
+        monkeypatch.setattr(primes, "_segments", spy)
+        blocks = real(10**5, 10**20, grow)
+        start, flags = next(blocks)
+        top = start + len(flags)
+        assert (start, top) == (10**5, 3 * 10**5 if grow else 10**5 + (1 << 20))
+        # the base primes reach isqrt(4 * top), not isqrt(10**20)
+        assert max(hi for lo, hi in calls) == math.isqrt(4 * top)
+        blocks.close()
+
+    @pytest.mark.parametrize("grow", [False, True])
+    @pytest.mark.parametrize("lo", [2, 3, 1000, 4097, 4098, 50000])
+    def test_windows_match_miller_rabin(self, lo, grow):
+        # across the first grown block's edge at 3 * lo, and the next one
+        rng = random.Random(lo)
+        ends = (lo + 4095, lo + 4096, 3 * lo - 1, 3 * lo, 3 * lo + 4096, 9 * lo, lo + rng.randrange(40000))
+        for hi in (lo - 1, lo, *(end for end in ends if end <= 200000)):
+            got = [n for start, flags in primes._segments(lo, hi, grow)
+                   for n, f in enumerate(flags, start) if f]
+            assert got == [n for n in range(lo, hi + 1) if is_prime(n)], hi
+
+
+def constant(g):
+    return lambda: (lambda p: g, None)
+
+
+def proportional(a, b):
+    return lambda: (lambda p: p * a // b + 1, None)
+
+
+def drops_after_a_yield(step):
+    """One more every `step` past the anchor; the anchor moves to q on each yield."""
+
+    def make():
+        anchor = [None]
+
+        def min_gap(p):
+            if anchor[0] is None:
+                anchor[0] = p
+            return (p - anchor[0]) // step + 2
+
+        def seen(p, q):
+            anchor[0] = q
+
+        return min_gap, seen
+
+    return make
+
+
+GAP_SHAPES = {
+    "constant-2": constant(2),
+    "constant-10": constant(10),
+    "constant-1000": constant(10**3),
+    "constant-10000": constant(10**4),
+    "p/50": proportional(1, 50),
+    "p/7": proportional(1, 7),
+    "2p/3": proportional(2, 3),
+    "drops-after-a-yield-40": drops_after_a_yield(40),
+    "drops-after-a-yield-3": drops_after_a_yield(3),
+}
+
+
+def gap_pairs(walk, lo, hi, shape):
+    min_gap, seen = shape()
+    out = []
+    for p, q in walk(lo, hi, min_gap):
+        out.append((p, q))
+        if seen:
+            seen(p, q)
+    return out
+
+
+def gap_windows(seed, count, spans, *fixed):
+    rng = random.Random(seed)
+    windows = [(2, 5000), (2**20 + 2 - 3000, 2**20 + 2 + 3000), *fixed]
+    for _ in range(count):
+        lo = rng.choice((rng.randrange(-5, 3000), rng.randrange(2 * 10**6)))
+        windows.append((lo, lo + rng.choice(spans) + rng.randrange(-20, 20)))
+    return windows
+
+
+class TestWideGaps:
+    """The two-regime gap walk against the sieve-only walk it replaced."""
+
+    @pytest.mark.parametrize("shape", GAP_SHAPES)
+    def test_seeded_windows_match_the_sieve_walk(self, shape):
+        # spans cross the first two block edges (4096, 4096 + 8192) and, from
+        # some lo, the switch to probing
+        for lo, hi in gap_windows(shape, 12, (100, 4096, 12288, 60000, 300000), (2, 2**20 + 3000)):
+            want = gap_pairs(wide_gaps_sieve, lo, hi, GAP_SHAPES[shape])
+            assert gap_pairs(primes._wide_gaps, lo, hi, GAP_SHAPES[shape]) == want, (lo, hi)
+
+    @pytest.mark.parametrize("shape", GAP_SHAPES)
+    def test_probing_from_the_first_prime_matches_the_sieve_walk(self, monkeypatch, shape):
+        # with the factor at 0 every step probes, also where pairs are yielded
+        monkeypatch.setattr(primes, "_PROBE_GAP", 0)
+        for lo, hi in gap_windows(shape, 12, (10, 100, 4096, 12288)):
+            want = gap_pairs(wide_gaps_sieve, lo, hi, GAP_SHAPES[shape])
+            assert gap_pairs(primes._wide_gaps, lo, hi, GAP_SHAPES[shape]) == want, (lo, hi)
+
+    @pytest.mark.parametrize("probe_gap, gap", [(128, 6000), (0, 2), (0, 30), (0, 100)])
+    def test_probe_window_at_10_to_the_12_matches_sympy(self, monkeypatch, probe_gap, gap):
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(primes, "_PROBE_GAP", probe_gap)
+        lo, hi = 10**12, 10**12 + 20000
+        ps = list(sympy.primerange(lo, hi + 1))
+        want = [(p, q) for p, q in zip(ps, ps[1:]) if q - p >= gap]
+        assert list(primes._wide_gaps(lo, hi, lambda p: gap)) == want
+
+    def test_bertrand_to_ten_million_sieves_one_block(self, monkeypatch):
+        tops, probes = [], []
+        real_segments, real_is_prime = primes._segments, primes.is_prime
+
+        def segments(lo, hi, grow=False):
+            for start, flags in real_segments(lo, hi, grow):
+                tops.append(start + len(flags) - 1)
+                yield start, flags
+
+        def is_prime(n):
+            probes.append(n)
+            return real_is_prime(n)
+
+        monkeypatch.setattr(primes, "_segments", segments)
+        monkeypatch.setattr(primes, "is_prime", is_prime)
+        assert bertrand_verify(10**7) == (Fraction(5, 3), (3, 5))
+        assert max(tops) <= 10**4
+        assert len(probes) < 2000
+
+    @pytest.mark.parametrize("hi", [PSI_13, PSI_13 + 1, 10**30])
+    def test_bounds_past_exact_primality_are_refused(self, hi):
+        with pytest.raises(ValueError, match="exact only below psi_13"):
+            next(primes._wide_gaps(2, hi, lambda p: 1))
+        with pytest.raises(ValueError, match="exact only below psi_13"):
+            bertrand_verify(hi)
+
+    def test_largest_exact_bound(self):
+        assert primes._PSI_13 == PSI_13
+        assert bertrand_verify(PSI_13 - 1) == (Fraction(5, 3), (3, 5))
 
 
 class TestFirstPrimes:
