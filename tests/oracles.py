@@ -7,11 +7,12 @@ ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
 gap-skipping scans; so is the per-prime matrix scan, for the gcd route
 of divisibility_matrix, and the sieve-only gap walk, for the walk that
-probes with is_prime once the gap it needs is wide.  The three-division coefficients are the former
-_coefficients, kept as the oracle for the one-big-division pass; the
-per-call coefficient loop and the single-level decomposition over them
-are the former levels() and decompose(), kept as oracles for the pass an
-IndexTower computes once and keeps, and the running-product loop is the
+probes with is_prime once the gap it needs is wide.  The three-division
+coefficients are the former _coefficients, kept as the oracle for the
+one-big-division pass; the per-call coefficient loop and the
+single-level decomposition over them are the former levels() and
+decompose(), kept as oracles for the pass an IndexTower computes once
+and keeps, and the running-product loop is the
 former is_prime_system, kept for the version that reads that pass.  The
 three Horner folds are the former ave_partial, ave_partial_product_form
 and measure_telescope, which carried every term, integer or not, through

@@ -243,8 +243,8 @@ class TestWideGaps:
 
     @pytest.mark.parametrize("shape", GAP_SHAPES)
     def test_seeded_windows_match_the_sieve_walk(self, shape):
-        # spans cross the first two block edges (4096, 4096 + 8192) and, from
-        # some lo, the switch to probing
+        # spans cross the walk's first block edges (3 * lo or lo + 4096, then
+        # 9 * lo) and, from some lo, the switch to probing
         for lo, hi in gap_windows(shape, 12, (100, 4096, 12288, 60000, 300000), (2, 2**20 + 3000)):
             want = gap_pairs(wide_gaps_sieve, lo, hi, GAP_SHAPES[shape])
             assert gap_pairs(primes._wide_gaps, lo, hi, GAP_SHAPES[shape]) == want, (lo, hi)
