@@ -42,7 +42,7 @@ class BoundExceeded(ResavgError):
 
 
 class LevelTooDeep(ResavgError):
-    """Tree level past the configured bound of the level-quotient computation."""
+    """Tree level past grigorchuk.MAX_LEVEL, the deepest level whose order is reported."""
 
 
 class InsufficientLevels(ResavgError):

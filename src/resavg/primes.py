@@ -11,7 +11,8 @@ Maximum-ratio scans over consecutive primes visit only the gaps wide
 enough to beat the running best num/den.  A pair (p, q) can win only if
 q - p >= min_gap(p), a bound fixed by p and the best so far: for q/p it
 is floor(p(num - den)/den) + 1.  Runs of composites that long are found
-on the sieve flags or, once wide, by is_prime probes (below psi_13 only).
+on the sieve flags or, once wide or in a window narrower than sqrt(hi),
+by is_prime probes (below psi_13 only).
 
 lcm_upto takes one sieve pass per call; the module keeps no state.
 """
@@ -118,10 +119,19 @@ def _wide_gaps(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tupl
     while g = min_gap(p) < _PROBE_GAP * p.bit_length(), by bytearray.find
     for a run of g - 1 composites in the sieve flags (the needle capped at
     the block length, a longer run paired across the block edge), then by
-    _probe_gaps, which sieves nothing more.  hi >= psi_13 is refused.
+    _probe_gaps, which sieves nothing more.  A window narrower than
+    isqrt(hi) is probed from its first prime, with no sieve at all.
+    hi >= psi_13 is refused.
     """
     if hi >= _PSI_13:
         raise ValueError(f"prime gap scans are exact only below psi_13 = {_PSI_13}, got {hi}")
+    if hi < max(lo, 2):
+        return
+    if math.isqrt(hi) > hi - lo:
+        p = next(filter(is_prime, range(lo, hi + 1)), 0)
+        if p:
+            yield from _probe_gaps(p, min_gap(p), hi, min_gap)
+        return
     p = 0
     for start, flags in _segments(lo, hi, grow=True):
         i = 0

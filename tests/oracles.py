@@ -1,4 +1,4 @@
-"""Independent oracles for resavg.linear and the tower coefficient pass.
+"""Independent oracles for resavg.linear, the tower pass and the Grigorchuk orders.
 
 Brute-force enumeration counts matrices over Z/m one by one, so every
 closed form is checked against a direct count at desk scale.  The
@@ -7,7 +7,8 @@ ratio loops are the former production paths, kept as oracles for the
 one-order-per-prime table, the verdict read off sl_ratio_scan, and the
 gap-skipping scans; so is the per-prime matrix scan, for the gcd route
 of divisibility_matrix, and the sieve-only gap walk, for the walk that
-probes with is_prime once the gap it needs is wide.  The three-division
+probes with is_prime once the gap it needs is wide, or from the first
+prime of a window narrower than isqrt(hi).  The three-division
 coefficients are the former _coefficients, kept as the oracle for the
 one-big-division pass; the per-call coefficient loop and the
 single-level decomposition over them are the former levels() and
@@ -25,11 +26,16 @@ adjacent duplicates.  The per-depth selection scan is the former
 select_powers, kept as the oracle for the version that bisects the
 non-decreasing exponent rows.
 
-The tree words and their leaf actions check the Grigorchuk generators
-directly.  The frozen dataclasses at the end are twins of the library's
-record classes as they were before those became __slots__ records: the
-records must match them in ==, hash, repr, immutability, construction
-and validation messages.
+The Grigorchuk generator permutations and the deterministic
+Schreier-Sims chain over them are the former production path of
+grigorchuk.level_quotient_order, kept as an oracle for its closed form
+beside the breadth-first closure and sympy; the tree words and their
+leaf actions check the generators directly.
+
+The frozen dataclasses at the end are twins of the library's record
+classes as they were before those became __slots__ records: the records
+must match them in ==, hash, repr, immutability, construction and
+validation messages.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from typing import Callable, Iterator
 
 from resavg import grigorchuk, linear, primes, tower
 from resavg.errors import BoundExceeded, IdentityInput, InconsistentTower, TableExhausted
-from resavg.grigorchuk import GENERATORS, _compose, _generator_perm
 from resavg.linear import multiplicative_order, sl_order
 from resavg.primes import first_primes, is_prime, iter_primes
 from resavg.tower import _show, as_fraction
@@ -350,6 +355,123 @@ def select_powers_scan(
             )
         ks.append(largest + 1)
     return tuple(ks)
+
+
+GENERATORS = "abcd"
+_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
+
+
+def _generator_perm(gen: str, level: int) -> tuple[int, ...]:
+    """A Grigorchuk generator on the 2^level leaves of the binary tree.
+
+    a swaps the two subtrees, and b = (a, c), c = (a, d), d = (1, b) act
+    trivially at the root while recursing into the halves.  Leaves are
+    indexed with the first branching as the most significant bit, so a
+    is XOR with 2^(level-1).
+    """
+    size = 1 << level
+    half = size >> 1
+    if gen == "a":
+        return tuple(i ^ half for i in range(size))
+    if level == 1:
+        return tuple(range(size))
+    left, right = _SECTIONS[gen]
+    lperm = _generator_perm(left, level - 1) if left else tuple(range(half))
+    rperm = _generator_perm(right, level - 1)
+    return tuple(lperm) + tuple(half + x for x in rperm)
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply p first, then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _chain_order(perms: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group generated by `perms`.
+
+    Deterministic Schreier-Sims: a base and strong generating set are
+    grown until every Schreier generator sifts to the identity, and the
+    order is the product of the basic orbit lengths.  Level i keeps its
+    strong generators, its basic orbit as point -> (u, u^-1) with
+    base[i]^u = point, and the (point, generator) pairs already sifted.
+    Transversal entries are never replaced, so a pair that sifted once
+    still sifts after the chain grows and is not tested again.
+    """
+    if not perms:
+        return 1
+    identity = tuple(range(len(perms[0])))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    orbits: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    tested: list[set[tuple[int, int]]] = []
+
+    def sift(h: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
+        """Residue of h and the level where it dropped out of the chain."""
+        while level < len(base):
+            entry = orbits[level].get(h[base[level]])
+            if entry is None:
+                break
+            h = _compose(h, entry[1])
+            level += 1
+        return h, level
+
+    def add(h: tuple[int, ...], top: int, bottom: int) -> None:
+        """Make h a strong generator on levels top..bottom, growing their orbits."""
+        if bottom == len(base):
+            point = next(x for x, y in enumerate(h) if x != y)
+            base.append(point)
+            strong.append([])
+            orbits.append({point: (identity, identity)})
+            tested.append(set())
+        for level in range(top, bottom + 1):
+            strong[level].append(h)
+            orbit = orbits[level]
+            queue = list(orbit)
+            for beta in queue:
+                u = orbit[beta][0]
+                for s in strong[level]:
+                    gamma = s[beta]
+                    if gamma not in orbit:
+                        v = _compose(u, s)
+                        orbit[gamma] = (v, _inverse(v))
+                        queue.append(gamma)
+
+    def schreier_residue(level: int) -> tuple[tuple[int, ...], int] | None:
+        """First untested Schreier generator of `level` that does not sift."""
+        orbit, done = orbits[level], tested[level]
+        for beta, (u, _) in orbit.items():
+            for k, s in enumerate(strong[level]):
+                if (beta, k) in done:
+                    continue
+                done.add((beta, k))
+                h, drop = sift(_compose(_compose(u, s), orbit[s[beta]][1]), level + 1)
+                if h != identity:
+                    return h, drop
+        return None
+
+    for g in perms:
+        h, drop = sift(g, 0)
+        if h != identity:
+            add(h, 0, drop)
+    level = len(base) - 1
+    while level >= 0:
+        found = schreier_residue(level)
+        if found is None:
+            level -= 1
+        else:
+            add(found[0], level + 1, found[1])
+            level = found[1]
+    order = 1
+    for orbit in orbits:
+        order *= len(orbit)
+    return order
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TreeAutomorphism, level_action
+from oracles import GENERATORS, TreeAutomorphism, _chain_order, level_action
 from resavg.errors import InsufficientLevels, InvalidPrimePower, LevelTooDeep
 from resavg.grigorchuk import (
-    GENERATORS,
     MAX_LEVEL,
-    _chain_order,
     d1_series_terms,
     grig_tower,
     level_quotient_order,
@@ -33,8 +31,8 @@ def identity(level):
 def closure_order(perms):
     """Size of the group generated by `perms`, by storing every element.
 
-    The breadth-first closure the stabilizer chain replaced, kept as its
-    oracle.  Permutations are stored as bytes; composing through
+    The breadth-first closure the stabilizer chain once replaced, kept as
+    an oracle for the chain and the closed form.  Permutations are stored as bytes; composing through
     bytes.translate keeps the inner loop in C.
     """
     size = len(perms[0])
@@ -126,27 +124,35 @@ class TestLevelQuotients:
 
 
 class TestChainOracles:
-    """The stabilizer chain against the closure, the closed form and sympy."""
+    """The closed-form orders against the stabilizer chain, the closure and sympy."""
 
     @pytest.mark.parametrize("level", range(1, 5))
     def test_matches_closure(self, level):
         perms = level_generators(level)
-        assert _chain_order(perms) == closure_order(perms) == GOLDEN_ORDERS[level - 1]
+        assert (
+            level_quotient_order(level).order
+            == _chain_order(perms)
+            == closure_order(perms)
+            == GOLDEN_ORDERS[level - 1]
+        )
 
     @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
     def test_matches_closed_form(self, level):
-        assert level_quotient_order(level).order == closed_form_order(level)
+        # the chain oracle reaches the published formula on its own
+        order = _chain_order(level_generators(level))
+        assert level_quotient_order(level).order == order == closed_form_order(level)
 
-    @pytest.mark.parametrize("level", range(1, 7))
+    @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
     def test_matches_sympy(self, level):
         combinatorics = pytest.importorskip("sympy.combinatorics")
-        group = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(p)) for p in level_generators(level)]
-        )
-        assert _chain_order(level_generators(level)) == group.order()
+        perms = level_generators(level)
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
+        assert level_quotient_order(level).order == _chain_order(perms) == group.order()
 
 
 class TestChainOnKnownGroups:
+    """The stabilizer-chain oracle on groups of known order."""
+
     @pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)])
     def test_symmetric(self, n, order):
         # an n-cycle and the transposition (0 1); both are the identity at n = 1

@@ -289,6 +289,42 @@ class TestRatioScanGapSkips:
         assert sl_ratio_scan(0, 24, 28) == (Fraction(0), (0, 0))
 
 
+class TestRatioScanNarrowWindows:
+    """Windows narrower than isqrt(hi) are probed from their first prime, with no sieve."""
+
+    WINDOWS = [
+        (PSI_13 - 10**4, PSI_13 - 1),
+        (10**18, 10**18 + 10**5),
+        (10**12, 10**12 + 5000),
+        (2, 3),
+        (5, 5),
+        (90, 100),
+    ]
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_matches_sympy(self, lo, hi):
+        sympy = pytest.importorskip("sympy")
+        ps = list(sympy.primerange(lo, hi + 1))
+        best, witness = Fraction(0), (0, 0)
+        for p, q in zip(ps, ps[1:]):
+            ratio = Fraction(sl_order(2, q), sl_order(2, p))
+            if ratio > best:
+                best, witness = ratio, (p, q)
+        assert sl_ratio_scan(2, lo, hi) == (best, witness)
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS[:3])
+    def test_sieves_nothing(self, monkeypatch, lo, hi):
+        def segments(lo, hi, grow=False):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr(primes, "_segments", segments)
+        assert sl_ratio_scan(2, lo, hi)[1] != (0, 0)
+
+    @pytest.mark.parametrize("lo, hi", [(-10, -2), (-3, 1), (7, 6), (10**12, 10**12 - 1)])
+    def test_negative_and_reversed_windows_hold_no_pair(self, lo, hi):
+        assert sl_ratio_scan(2, lo, hi) == (Fraction(0), (0, 0))
+
+
 def sl_ratio_scan_pairwise(n, lo, hi):
     """The former scan: two orders and one Fraction per consecutive pair."""
     best = Fraction(0)
