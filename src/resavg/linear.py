@@ -493,9 +493,8 @@ def power_gap_start_index(params: PowerSelectionParams, primes: tuple[int, ...])
     """
     n2 = params.n * params.n
     margin = (1 + params.epsilon) * (params.C + 2) * n2
-    j = 1
-    while (params.delta - params.epsilon) * (params.N + params.C * j * n2) - margin <= 1:
-        j += 1
+    # the first inequality is N + C j n^2 > (1 + margin)/(delta - eps)
+    j = max(1, ((1 + margin) / (params.delta - params.epsilon) - params.N) // (params.C * n2) + 1)
     a, b = params.epsilon.numerator, params.epsilon.denominator
     jp = next((idx for idx, p in enumerate(primes, start=1) if p**a > 2**b), None)
     if jp is None:

@@ -77,20 +77,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _segments(lo: int, hi: int, grow: bool = False) -> Iterator[tuple[int, bytearray]]:
-    """Sieve [max(lo, 2), hi] in blocks of _SEGMENT numbers.
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+    """Sieve [max(lo, 2), hi] in blocks that grow: the block from lo ends at
+    3 * lo and holds 4,096 numbers or more and _SEGMENT at most.
 
-    Yields (start, flags) with flags[i] == 1 iff start + i is prime.  With
-    grow, for walks that may stop early, the block from lo ends at 3 * lo
-    and is 4,096 numbers or more, as each block pays a pass over its base
-    primes.  Those are sieved to isqrt(min(hi, 4 * top)) when a block below
-    top needs more, so nothing past the last block taken is sieved.
+    Yields (start, flags) with flags[i] == 1 iff start + i is prime.  Each
+    block pays a pass over its base primes, hence the floor; a reader that
+    stops early has sieved little past where it stopped.  The base primes
+    are sieved to isqrt(min(hi, 4 * top)) when a block below top needs
+    more, so nothing past the last block taken is sieved.
     """
     lo = max(lo, 2)
     have, base = 1, []  # base: the primes <= have
     while lo <= hi:
-        size = min(max(1 << 12, 2 * lo), _SEGMENT) if grow else _SEGMENT
-        top = min(lo + size, hi + 1)
+        top = min(lo + min(max(1 << 12, 2 * lo), _SEGMENT), hi + 1)
         if math.isqrt(top - 1) > have:
             have = math.isqrt(min(hi, 4 * top))
             base = list(iter_primes(have))
@@ -113,50 +113,41 @@ def iter_primes(bound: int) -> Iterator[int]:
 def _wide_gaps(lo: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tuple[int, int]]:
     """Consecutive primes p < q in [lo, hi] with q - p >= min_gap(p) >= 1.
 
-    p runs from the first prime >= lo.  min_gap is read again after every
-    pair yielded, and between yields it must not decrease along the
-    primes, so the walk may jump to the last prime below p + min_gap(p):
-    while g = min_gap(p) < _PROBE_GAP * p.bit_length(), by bytearray.find
-    for a run of g - 1 composites in the sieve flags (the needle capped at
-    the block length, a longer run paired across the block edge), then by
-    _probe_gaps, which sieves nothing more.  A window narrower than
-    isqrt(hi) is probed from its first prime, with no sieve at all.
-    hi >= psi_13 is refused.
+    p runs from the first prime >= lo, found by is_prime.  min_gap is read
+    again after every pair yielded, and between yields it must not decrease
+    along the primes, so the walk may jump to the last prime below
+    p + min_gap(p): by bytearray.find for a run of g - 1 composites in the
+    sieve flags from p + 1 (the needle capped at the block length, a longer
+    run paired across the block edge) while g = min_gap(p) <
+    _PROBE_GAP * p.bit_length(), then by _probe_gaps, which sieves nothing
+    more.  A window narrower than isqrt(hi) is probed from its first prime,
+    with no sieve at all.  hi >= psi_13 is refused.
     """
     if hi >= _PSI_13:
         raise ValueError(f"prime gap scans are exact only below psi_13 = {_PSI_13}, got {hi}")
-    if hi < max(lo, 2):
-        return
-    if math.isqrt(hi) > hi - lo:
-        p = next(filter(is_prime, range(lo, hi + 1)), 0)
-        if p:
-            yield from _probe_gaps(p, min_gap(p), hi, min_gap)
-        return
-    p = 0
-    for start, flags in _segments(lo, hi, grow=True):
-        i = 0
-        if not p:
-            i = flags.find(1)
-            if i < 0:
-                continue
-            p, g = start + i, min_gap(start + i)
-            i += 1
-        while (j := flags.find(1, i)) >= 0:
-            if start + j - p >= g:
-                yield p, start + j
-            p, i = start + j, j + 1
-            k = flags.find(bytes(min(min_gap(p) - 1, len(flags))), i)
-            # the last prime before that run, or in the block if it has none
-            r = flags.rfind(1, i, len(flags) if k < 0 else k)
-            if r >= 0:
-                p = start + r
-            g = min_gap(p)
-            if g >= _PROBE_GAP * p.bit_length():
-                yield from _probe_gaps(p, g, hi, min_gap)
-                return
-            if k < 0:
-                break
-            i = k
+    for p in islice(filter(is_prime, range(lo, hi + 1)), 1):  # the first prime >= lo, if any
+        g = min_gap(p)
+        if math.isqrt(hi) > hi - lo or g >= _PROBE_GAP * p.bit_length():
+            yield from _probe_gaps(p, g, hi, min_gap)
+            return
+        for start, flags in _segments(p + 1, hi):
+            i = 0
+            while (j := flags.find(1, i)) >= 0:
+                if start + j - p >= g:
+                    yield p, start + j
+                p, i = start + j, j + 1
+                k = flags.find(bytes(min(min_gap(p) - 1, len(flags))), i)
+                # the last prime before that run, or in the block if it has none
+                r = flags.rfind(1, i, len(flags) if k < 0 else k)
+                if r >= 0:
+                    p = start + r
+                g = min_gap(p)
+                if g >= _PROBE_GAP * p.bit_length():
+                    yield from _probe_gaps(p, g, hi, min_gap)
+                    return
+                if k < 0:
+                    break
+                i = k
 
 
 def _probe_gaps(p: int, g: int, hi: int, min_gap: Callable[[int], int]) -> Iterator[tuple[int, int]]:
@@ -181,15 +172,11 @@ def primes_upto(bound: int) -> tuple[int, ...]:
 
 
 def first_primes(count: int) -> tuple[int, ...]:
-    """The first `count` primes."""
+    """The first `count` primes, from a sieve to count**2 + 2 (p_n < n**2 for
+    n >= 2) whose blocks are taken only as far as p_count."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    # > p_count: 15 > p_5, and p_n < n(ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld 1962)
-    bound = 15
-    if count > 5:
-        x = float(count)
-        bound = int(x * (math.log(x) + math.log(math.log(x))) * 1.2) + 10
-    return tuple(islice(iter_primes(bound), count))
+    return tuple(islice(iter_primes(count * count + 2), count))
 
 
 def bertrand_verify(bound: int) -> tuple[Fraction, tuple[int, int]]:

@@ -400,6 +400,8 @@ def is_nested(tower: IndexTower) -> bool:
 
 def _power_pair(delta: Fraction) -> Callable[[int, int], bool]:
     """The power gap condition a < b < a**(1 + p/q), as b**q < a**(p+q)."""
+    if delta <= 0:
+        raise ValueError(f"power gap exponent must be positive, got {delta}")
     p, q = delta.numerator, delta.denominator
     return lambda a, b: a < b and b**q < a ** (p + q)
 
@@ -427,17 +429,14 @@ def gap_check_power(tower: IndexTower, delta: RationalLike, start: int = 1) -> b
     delta must be rational; the comparison b < a**(1 + p/q) is done as
     b**q < a**(p+q) in exact integer arithmetic.
     """
-    delta = as_fraction(delta)
-    if delta <= 0:
-        raise ValueError(f"power gap exponent must be positive, got {delta}")
-    return _all_pairs(tower, _power_pair(delta), start)
+    return _all_pairs(tower, _power_pair(as_fraction(delta)), start)
 
 
 def first_power_gap_index(tower: IndexTower, delta: RationalLike) -> int:
     """Smallest j* such that the power gap condition holds for all j >= j*.
 
     Returns len(tower) when even the last pair fails (the condition is
-    then vacuous).
+    then vacuous).  delta must be positive, as in gap_check_power.
     """
     pair = _power_pair(as_fraction(delta))
     start = len(tower)

@@ -24,7 +24,8 @@ former is_nested, kept for the tuple comparison, and the set-based pool
 is the former zeta_partial, kept for the version that sorts and drops
 adjacent duplicates.  The per-depth selection scan is the former
 select_powers, kept as the oracle for the version that bisects the
-non-decreasing exponent rows.
+non-decreasing exponent rows, and the j-by-j loop is the former
+power_gap_start_index, kept for its closed form.
 
 The Grigorchuk generator permutations and the deterministic
 Schreier-Sims chain over them are the former production path of
@@ -355,6 +356,20 @@ def select_powers_scan(
             )
         ks.append(largest + 1)
     return tuple(ks)
+
+
+def power_gap_start_loop(params: linear.PowerSelectionParams, primes: tuple[int, ...]) -> int:
+    """The start index by counting j up one Fraction step at a time."""
+    n2 = params.n * params.n
+    margin = (1 + params.epsilon) * (params.C + 2) * n2
+    j = 1
+    while (params.delta - params.epsilon) * (params.N + params.C * j * n2) - margin <= 1:
+        j += 1
+    a, b = params.epsilon.numerator, params.epsilon.denominator
+    jp = next((idx for idx, p in enumerate(primes, start=1) if p**a > 2**b), None)
+    if jp is None:
+        raise TableExhausted("prime sequence too short to clear the gap constant")
+    return max(j, jp)
 
 
 GENERATORS = "abcd"

@@ -470,6 +470,36 @@ class TestSelectPowersCommand:
         assert report["error"]["type"] == "SchemaError"
         assert report["error"]["message"].startswith(f"field '{field}': ")
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([table_json()], "table file must contain a JSON object"),
+            ({"primes": [2]}, "table object missing field(s): ['O', 'ell']"),
+            ({**table_json(), "ell": "0,1,2"}, "field 'ell': expected a list"),
+            (
+                {**table_json(), "primes": [2, 4, *first_primes(16)[2:]]},
+                "table violates the exponent-table schema: 4 is not prime",
+            ),
+        ],
+    )
+    def test_malformed_table_is_schema_error(self, capsys, tmp_path, table, message):
+        code, report = self.select(capsys, tmp_path, table)
+        assert code == 1
+        assert report["error"] == {"type": "SchemaError", "message": message}
+
+    def test_narrow_delta_minus_epsilon(self, capsys, tmp_path):
+        # delta - epsilon = 1/30000000: the start index is far past the tower
+        code, report = self.select(
+            capsys, tmp_path, table_json(), "--delta", "10000001/30000000", "--epsilon", "1/3",
+            "--emit-tower",
+        )
+        assert code == 0
+        assert report["results"]["gap_start_index"] == 62_000_000
+        assert "gap_check_power" not in report["results"]
+        assert report["warnings"] == [
+            "tower too short to test the power gap from the computed start index"
+        ]
+
     def test_short_table_is_table_exhausted(self, capsys, tmp_path):
         # depths are selected, but neither 2 nor 3 passes p**(1/5) > 2, the gap constant
         code, report = self.select(capsys, tmp_path, table_json(2))
@@ -605,6 +635,20 @@ class TestExitCodes:
             assert code == 1
             assert report["error"]["type"] == "SchemaError"
             assert report["error"]["message"].startswith(f"cannot read {what} file {path}: ")
+
+    @pytest.mark.parametrize(
+        "tower, message",
+        [
+            ([{"name": "t", "d": ["2"], "l": ["2"]}], "tower file must contain a JSON object"),
+            ({"name": 5, "d": ["2"], "l": ["2"]}, "field 'name': expected a string"),
+        ],
+    )
+    def test_malformed_tower_file_is_schema_error(self, capsys, tmp_path, tower, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tower), encoding="utf-8")
+        code, report = run_json(capsys, "classify", "--tower", str(path))
+        assert code == 1
+        assert report["error"] == {"type": "SchemaError", "message": message}
 
     @pytest.mark.parametrize("command", ["ave", "tower-check", "classify"])
     def test_deeply_nested_tower_file_is_schema_error(self, capsys, tmp_path, command):

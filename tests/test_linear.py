@@ -45,6 +45,7 @@ from oracles import (
     divisibility_matrix_scan,
     ell_row_per_depth,
     gap_ratio_limit_pairwise,
+    power_gap_start_loop,
     select_powers_scan,
     sl_ratio_scan_loop,
 )
@@ -207,7 +208,7 @@ class TestSlPrimeTower:
             (90, 100),
             (24, 28),
             (50, 10),
-            # around the block edges 2 + m * 2**20 of iter_primes
+            # past 10^6: 6,000 wide, sieved; 1,000 wide, below isqrt(hi), probed
             (2 + 2**20 - 3000, 2 + 2**20 + 3000),
             (2 + 2 * 2**20 - 500, 2 + 2 * 2**20 + 500),
             # lo inside the prime gaps 1327..1361 and 2010733..2010881
@@ -314,7 +315,7 @@ class TestRatioScanNarrowWindows:
 
     @pytest.mark.parametrize("lo, hi", WINDOWS[:3])
     def test_sieves_nothing(self, monkeypatch, lo, hi):
-        def segments(lo, hi, grow=False):
+        def segments(lo, hi):
             raise AssertionError(f"sieved [{lo}, {hi}]")
 
         monkeypatch.setattr(primes, "_segments", segments)
@@ -460,6 +461,9 @@ class TestDivisibilityMatrix:
         assert IntMatrix(((3, 1), (1, 1))).determinant() == 2
         assert IntMatrix(((2, 0, 1), (0, 1, 0), (1, 0, 1))).determinant() == 1
         assert IntMatrix(((1, 2), (2, 4))).determinant() == 0
+        # no nonzero pivot left in a column
+        assert IntMatrix(((0, 1), (0, 2))).determinant() == 0
+        assert IntMatrix(((1, 2, 3), (2, 4, 5), (0, 0, 1))).determinant() == 0
 
 
 class TestMultiplicativeOrders:
@@ -585,6 +589,8 @@ class TestPowerSelection:
         ks = list(select_powers(table, params, 5))
         ks[2] += 3
         assert verify_power_windows(table, tuple(ks), params) is False
+        # ell(1, 1) = 0 does not clear N + C n^2 = 7
+        assert verify_power_windows(table, (1, *ks[1:]), params) is False
 
     def test_power_tower_and_gap(self):
         table = synthetic_table()
@@ -664,3 +670,24 @@ class TestPowerSelection:
         assert power_gap_start_index(params, primes=first_primes(12)) == 12
         with pytest.raises(TableExhausted, match="too short"):
             power_gap_start_index(params, primes=first_primes(11))
+
+    def test_gap_start_matches_the_loop(self):
+        rng = random.Random(24)
+        ps = first_primes(400)
+        for _ in range(3000):
+            n = rng.choice((1, 2))
+            den = rng.randint(3, 40)
+            delta = Fraction(rng.randint(1, (den - 1) // 2), den)
+            epsilon = delta * Fraction(rng.randint(1, 29), 30)
+            params = PowerSelectionParams(
+                n=n, N=math.factorial(n * n) + rng.randint(1, 300), C=rng.randint(5, 12),
+                delta=delta, epsilon=epsilon,
+            )
+            primes_given = ps[: rng.choice((rng.randint(1, 40), 400))]
+            try:
+                want = power_gap_start_loop(params, primes_given)
+            except TableExhausted:
+                with pytest.raises(TableExhausted, match="too short"):
+                    power_gap_start_index(params, primes=primes_given)
+            else:
+                assert power_gap_start_index(params, primes=primes_given) == want, params

@@ -114,10 +114,11 @@ class TestPrimesUpto:
         for bound in range(3001):
             assert list(iter_primes(bound)) == [p for p in ps if p <= bound], bound
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_windows_around_segment_edges(self, m):
-        # segments start at 2, so the m-th edge is 2 + m * 2**20
-        edge = 2 + m * (1 << 20)
+    @pytest.mark.parametrize("edge", [4098, 995814, 2044390])
+    def test_windows_around_segment_edges(self, edge):
+        # iter_primes' blocks end at 4,098, then at three times their start
+        # up to 995,814, then 2**20 apart: the first, last tripled and first
+        # full-length edges
         lo, hi = edge - 2000, edge + 2000
         got = [p for p in iter_primes(hi) if p >= lo]
         assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
@@ -127,7 +128,7 @@ class TestPrimesUpto:
         assert sum(1 for _ in iter_primes(10**7)) == 664579
 
     def test_segmented_path_matches_miller_rabin(self):
-        # sixteen full segments, then a short one past 2**24
+        # inside the fifteenth 2**20 block, from 2,044,390 on
         limit = 1 << 24
         bound = limit + 2000
         got = [p for p in iter_primes(bound) if p > limit]
@@ -136,45 +137,40 @@ class TestPrimesUpto:
 
 class TestSegments:
     def test_blocks(self):
-        # full-size blocks from lo; grown ones end at 3 * lo, at least 4096 long
+        # the block from lo ends at 3 * lo, at least 4096 and at most 2**20 long
         hi = 3 << 20
         for lo in (2, 3, 1000, 5000, 400000):
-            assert [(s, len(f)) for s, f in primes._segments(lo, hi)] == [
-                (s, min(1 << 20, hi + 1 - s)) for s in range(lo, hi + 1, 1 << 20)
-            ]
             s, want = lo, []
             while s <= hi:
                 top = min(max(3 * s, s + 4096), s + (1 << 20), hi + 1)
                 want.append((s, top - s))
                 s = top
-            assert [(s, len(f)) for s, f in primes._segments(lo, hi, grow=True)] == want
+            assert [(s, len(f)) for s, f in primes._segments(lo, hi)] == want
 
-    @pytest.mark.parametrize("grow", [False, True])
-    def test_base_primes_go_only_as_far_as_the_blocks_taken(self, monkeypatch, grow):
+    def test_base_primes_go_only_as_far_as_the_blocks_taken(self, monkeypatch):
         calls = []
         real = primes._segments
 
-        def spy(lo, hi, grow=False):
+        def spy(lo, hi):
             calls.append((lo, hi))
-            return real(lo, hi, grow)
+            return real(lo, hi)
 
         monkeypatch.setattr(primes, "_segments", spy)
-        blocks = real(10**5, 10**20, grow)
+        blocks = real(10**5, 10**20)
         start, flags = next(blocks)
         top = start + len(flags)
-        assert (start, top) == (10**5, 3 * 10**5 if grow else 10**5 + (1 << 20))
+        assert (start, top) == (10**5, 3 * 10**5)
         # the base primes reach isqrt(4 * top), not isqrt(10**20)
         assert max(hi for lo, hi in calls) == math.isqrt(4 * top)
         blocks.close()
 
-    @pytest.mark.parametrize("grow", [False, True])
     @pytest.mark.parametrize("lo", [2, 3, 1000, 4097, 4098, 50000])
-    def test_windows_match_miller_rabin(self, lo, grow):
-        # across the first grown block's edge at 3 * lo, and the next one
+    def test_windows_match_miller_rabin(self, lo):
+        # across the first block's edge at 3 * lo, and the next one
         rng = random.Random(lo)
         ends = (lo + 4095, lo + 4096, 3 * lo - 1, 3 * lo, 3 * lo + 4096, 9 * lo, lo + rng.randrange(40000))
         for hi in (lo - 1, lo, *(end for end in ends if end <= 200000)):
-            got = [n for start, flags in primes._segments(lo, hi, grow)
+            got = [n for start, flags in primes._segments(lo, hi)
                    for n, f in enumerate(flags, start) if f]
             assert got == [n for n in range(lo, hi + 1) if is_prime(n)], hi
 
@@ -243,8 +239,8 @@ class TestWideGaps:
 
     @pytest.mark.parametrize("shape", GAP_SHAPES)
     def test_seeded_windows_match_the_sieve_walk(self, shape):
-        # spans cross the walk's first block edges (3 * lo or lo + 4096, then
-        # 9 * lo) and, from some lo, the switch to probing
+        # spans cross the walk's first block edges (near 3 * lo or lo + 4096,
+        # then 9 * lo) and, from some lo, the switch to probing
         for lo, hi in gap_windows(shape, 12, (100, 4096, 12288, 60000, 300000), (2, 2**20 + 3000)):
             want = gap_pairs(wide_gaps_sieve, lo, hi, GAP_SHAPES[shape])
             assert gap_pairs(primes._wide_gaps, lo, hi, GAP_SHAPES[shape]) == want, (lo, hi)
@@ -270,8 +266,8 @@ class TestWideGaps:
         tops, probes = [], []
         real_segments, real_is_prime = primes._segments, primes.is_prime
 
-        def segments(lo, hi, grow=False):
-            for start, flags in real_segments(lo, hi, grow):
+        def segments(lo, hi):
+            for start, flags in real_segments(lo, hi):
                 tops.append(start + len(flags) - 1)
                 yield start, flags
 
@@ -306,6 +302,20 @@ class TestFirstPrimes:
         ps = first_primes(1000)
         assert len(ps) == 1000
         assert ps[-1] == 7919
+
+    def test_sieves_only_the_blocks_taken(self, monkeypatch):
+        tops = []
+        real = primes._segments
+
+        def segments(lo, hi):
+            for start, flags in real(lo, hi):
+                tops.append(start + len(flags) - 1)
+                yield start, flags
+
+        monkeypatch.setattr(primes, "_segments", segments)
+        assert first_primes(600)[-1] == 4409
+        # the blocks [2, 4097] and [4098, 12293], not the bound 600**2 + 2
+        assert max(tops) <= 12293
 
     def test_every_count_to_3000_matches_is_prime(self):
         ps = tuple(n for n in range(27450) if is_prime(n))  # p_3000 = 27449

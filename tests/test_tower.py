@@ -291,6 +291,14 @@ class TestGapChecks:
         assert first_power_gap_index(t, Fraction(1, 2)) == 2
         assert gap_check_power(t, Fraction(1, 2), start=2) is True
 
+    @pytest.mark.parametrize("delta", [0, "-1/2"])
+    def test_power_exponent_must_be_positive(self, delta):
+        t = tower_primes(10)
+        message = f"power gap exponent must be positive, got {Fraction(delta)}"
+        for check in (gap_check_power, first_power_gap_index):
+            with pytest.raises(ValueError, match=message):
+                check(t, delta)
+
     @pytest.mark.parametrize("start", [0, -1, -5])
     def test_start_below_one_rejected(self, start):
         t = IndexTower("primes", (2, 3, 5, 7), (2, 6, 30, 210))
