@@ -68,7 +68,9 @@ def rational_json(value: Fraction | int, digits: int) -> dict[str, str]:
 
 
 def tower_to_json(t: IndexTower) -> dict[str, Any]:
-    return {"name": t.name, "d": [str(x) for x in t.d], "l": [str(x) for x in t.l]}
+    """The tower interchange object; a nested tower's d and l share one list."""
+    l = [str(x) for x in t.l]
+    return {"name": t.name, "d": l if tower.is_nested(t) else [str(x) for x in t.d], "l": l}
 
 
 def _parse_big_int(raw: Any, where: str) -> int:
@@ -98,7 +100,9 @@ def tower_from_json(obj: Any) -> IndexTower:
     if not isinstance(name, str):
         raise SchemaError("field 'name': expected a string")
     d = _parse_int_list(obj["d"], "d")
-    l = _parse_int_list(obj["l"], "l")
+    # a nested tower's l repeats d's strings; only strings, as 1 == 1.0 == True
+    same = obj["l"] == obj["d"] and all(isinstance(x, str) for x in obj["d"])
+    l = d if same else _parse_int_list(obj["l"], "l")
     if len(d) != len(l):
         raise SchemaError(f"field 'l': length {len(l)} does not match 'd' length {len(d)}")
     try:
@@ -124,10 +128,9 @@ def read_tower(path: str | Path) -> IndexTower:
     return tower_from_json(_read_json(path, "tower"))
 
 
-def write_tower(t: IndexTower, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(tower_to_json(t), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def write_tower(obj: dict[str, Any], path: str | Path) -> None:
+    """Write a rendered tower object (tower_to_json's, as a report carries it)."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def ell_table_from_json(obj: Any, n: int) -> linear.EllTable:
@@ -150,27 +153,14 @@ def ell_table_from_json(obj: Any, n: int) -> linear.EllTable:
         raise SchemaError(f"table violates the exponent-table schema: {exc}") from exc
 
 
-def tower_table_rows(t: IndexTower) -> list[dict[str, Any]]:
-    """Per-level table: coefficients, measure term, running average."""
-    rows = []
+def tower_table_rows(t: IndexTower) -> list[tuple[int, ...]]:
+    """Per-level table in CSV_COLUMNS order: coefficients, measure term, running average."""
     partials = accumulate(tower.ave_terms(t))
-    for j, (dec, partial) in enumerate(zip(tower.levels(t), partials), start=1):
-        term = Fraction(dec.s - 1, t.l_at(j))
-        rows.append(
-            {
-                "j": j,
-                "d": str(t.d_at(j)),
-                "l": str(t.l_at(j)),
-                "r": str(dec.r),
-                "s": str(dec.s),
-                "t": str(dec.t),
-                "term_num": str(term.numerator),
-                "term_den": str(term.denominator),
-                "partial_num": str(partial.numerator),
-                "partial_den": str(partial.denominator),
-            }
-        )
-    return rows
+    return [
+        (j, dj, lj, dec.r, dec.s, dec.t, *Fraction(dec.s - 1, lj).as_integer_ratio(),
+         *partial.as_integer_ratio())
+        for j, (dj, lj, dec, partial) in enumerate(zip(t.d, t.l, tower.levels(t), partials), start=1)
+    ]
 
 
 CSV_COLUMNS = ("j", "d", "l", "r", "s", "t", "term_num", "term_den", "partial_num", "partial_den")
@@ -184,7 +174,7 @@ def _degenerate_warnings(t: IndexTower) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, warnings, tower for --csv and --out)
+# subcommand handlers: each returns (results, warnings, tower for --csv)
 
 Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], list[str], IndexTower | None]]
 
@@ -626,7 +616,7 @@ def _run(argv: list[str] | None) -> int:
         results, warnings, table_tower = args.handler(args)
         if getattr(args, "out", None):
             try:
-                write_tower(table_tower, args.out)
+                write_tower(results["tower"], args.out)
             except OSError as exc:
                 raise SchemaError(f"cannot write tower file {args.out}: {exc}") from exc
             results["written"] = str(args.out)
@@ -637,7 +627,7 @@ def _run(argv: list[str] | None) -> int:
             rows = tower_table_rows(table_tower)
             print(",".join(CSV_COLUMNS))
             for row in rows:
-                print(",".join(str(row[c]) for c in CSV_COLUMNS))
+                print(",".join(map(str, row)))
         elif args.quiet:
             _print_json(results)
         else:

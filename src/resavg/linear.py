@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from decimal import Context
 from fractions import Fraction
 from typing import Iterable
 
@@ -300,7 +301,9 @@ class EllTable(Record):
                 raise ValueError(f"{p} is not prime")
             if j and p <= primes[j - 1]:
                 raise ValueError("primes must be strictly increasing")
-            if not 1 <= orders[j] < p**step:
+            # p**step has low + 1 to low + step bits: built only when orders[j] is that long
+            bits, low = orders[j].bit_length(), (p.bit_length() - 1) * step
+            if orders[j] < 1 or (bits > low and (bits > low + step or orders[j] >= p**step)):
                 raise ValueError(f"order {orders[j]} at prime {p} outside [1, {p}^{step})")
             row = rows[j]
             if row[0] < 0:
@@ -483,6 +486,31 @@ def verify_power_windows(table: EllTable, ks: tuple[int, ...], params: PowerSele
     return True
 
 
+def _power_exceeds(p: int, a: int, b: int) -> bool:
+    """p**a > 2**b for a prime p and 0 < a < b, without building either power.
+
+    2**(bl-1) <= p < 2**bl for bl = p.bit_length(), so a*(bl-1) >= b means
+    yes (a < b rules out p = 2 there) and a*bl <= b means no.  Between,
+    a*ln(p) and b*ln(2) are compared in Decimal at a precision raised until
+    their gap exceeds the rounding error; log2(p) is irrational for odd p,
+    so the gap is never 0 and the loop ends.
+    """
+    bl = p.bit_length()
+    if a * (bl - 1) >= b:
+        return True
+    if a * bl <= b:
+        return False
+    prec = 30
+    while True:
+        ctx = Context(prec=prec)
+        left, right = ctx.multiply(a, ctx.ln(p)), ctx.multiply(b, ctx.ln(2))
+        gap = ctx.subtract(left, right)
+        # five roundings, each within 10**(1 - prec)/2 relative, stay far below this bound
+        if abs(gap) > ctx.scaleb(ctx.add(left, right), 2 - prec):
+            return gap > 0
+        prec *= 2
+
+
 def power_gap_start_index(params: PowerSelectionParams, primes: tuple[int, ...]) -> int:
     """First level from which the power-gap condition is guaranteed.
 
@@ -496,7 +524,7 @@ def power_gap_start_index(params: PowerSelectionParams, primes: tuple[int, ...])
     # the first inequality is N + C j n^2 > (1 + margin)/(delta - eps)
     j = max(1, ((1 + margin) / (params.delta - params.epsilon) - params.N) // (params.C * n2) + 1)
     a, b = params.epsilon.numerator, params.epsilon.denominator
-    jp = next((idx for idx, p in enumerate(primes, start=1) if p**a > 2**b), None)
+    jp = next((idx for idx, p in enumerate(primes, start=1) if _power_exceeds(p, a, b)), None)
     if jp is None:
         raise TableExhausted("prime sequence too short to clear the gap constant")
     return max(j, jp)

@@ -1,19 +1,23 @@
+import argparse
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import resavg.cli
 import resavg.tower
-from conftest import random_moduli_tower
+from conftest import random_consistent_tower, random_moduli_tower
 from resavg.cli import (
     CSV_COLUMNS,
     MAX_DIGITS,
+    build_parser,
     decimal_str,
     main,
     read_tower,
@@ -22,10 +26,11 @@ from resavg.cli import (
     write_tower,
 )
 from resavg.errors import SchemaError
-from resavg.integers import level_set_measure, tower_primes
+from resavg.grigorchuk import grig_tower, slnzp_tower
+from resavg.integers import level_set_measure, tower_all_subgroups, tower_primes
 from resavg.linear import sl_prime_tower
 from resavg.primes import first_primes, lcm_upto
-from resavg.tower import IndexTower, _show, classify
+from resavg.tower import IndexTower, _show, ave_partial, classify, is_nested, levels
 
 
 def run(capsys, *argv):
@@ -74,7 +79,7 @@ class TestTowerFiles:
     def test_round_trip(self, tmp_path):
         t = tower_primes(5)
         path = tmp_path / "tower.json"
-        write_tower(t, path)
+        write_tower(tower_to_json(t), path)
         assert read_tower(path) == t
 
     def test_malformed_integer(self):
@@ -281,7 +286,7 @@ class TestTowerFileCommands:
     @pytest.fixture
     def tower_file(self, tmp_path):
         path = tmp_path / "primes.json"
-        write_tower(tower_primes(20), path)
+        write_tower(tower_to_json(tower_primes(20)), path)
         return str(path)
 
     def test_classify(self, capsys, tower_file):
@@ -396,12 +401,122 @@ class TestOneCoefficientPass:
         assert calls == list(range(1, 601))
 
 
+def out_commands():
+    """The subcommands whose parser has an `out` destination."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items() if any(a.dest == "out" for a in p._actions))
+
+
+# small arguments for every subcommand in out_commands()
+OUT_ARGV = {
+    "grig": ("--levels", "5", "--d1-series"),
+    "sl-tower": ("--n", "3", "--primes", "40", "--classify"),
+    "slzp": ("--n", "2", "--p", "5", "--levels", "60"),
+}
+
+
+class TestOneConversion:
+    """A call renders each tower integer once and parses each once from a file."""
+
+    @pytest.mark.parametrize("command", out_commands())
+    def test_out_renders_the_tower_once(self, capsys, monkeypatch, tmp_path, command):
+        calls = []
+        real = resavg.cli.tower_to_json
+
+        def counting(t):
+            calls.append(t.name)
+            return real(t)
+
+        monkeypatch.setattr(resavg.cli, "tower_to_json", counting)
+        code, _ = run(capsys, command, *OUT_ARGV[command], "--out", str(tmp_path / "t.json"))
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", out_commands())
+    def test_out_writes_the_reported_tower(self, capsys, tmp_path, command):
+        path = tmp_path / "t.json"
+        code, results = run_json(capsys, command, *OUT_ARGV[command], "--out", str(path), "--quiet")
+        assert code == 0
+        assert results["written"] == str(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(results["tower"], indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("t", (slnzp_tower(2, 5, 30), grig_tower(6)), ids=("slzp", "grig"))
+    def test_nested_tower_renders_one_list(self, t):
+        assert is_nested(t)
+        obj = tower_to_json(t)
+        assert obj["d"] is obj["l"]
+        assert obj["l"] == [str(x) for x in t.l]
+
+    def test_other_towers_render_both_lists(self):
+        t = sl_prime_tower(2, 5)
+        obj = tower_to_json(t)
+        assert obj["d"] == [str(x) for x in t.d] and obj["l"] == [str(x) for x in t.l]
+        assert obj["d"] != obj["l"]
+
+    def test_nested_file_parses_each_level_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "slzp.json"
+        code, _ = run(capsys, "slzp", "--n", "2", "--p", "5", "--levels", "50", "--out", str(path))
+        assert code == 0
+        calls = []
+        real = resavg.cli._parse_big_int
+
+        def counting(raw, where):
+            calls.append(where)
+            return real(raw, where)
+
+        monkeypatch.setattr(resavg.cli, "_parse_big_int", counting)
+        assert read_tower(path) == slnzp_tower(2, 5, 50)
+        assert calls == [f"field 'd[{j}]'" for j in range(1, 51)]
+
+    @pytest.mark.parametrize("bad", (2.0, True))
+    def test_equal_lists_with_a_non_string_entry_are_parsed_apart(self, bad):
+        # 2 == 2.0 and 1 == True: the raw lists compare equal, but l is still malformed
+        good = 1 if bad is True else 2
+        with pytest.raises(SchemaError) as exc:
+            tower_from_json({"name": "x", "d": [good], "l": [bad]})
+        assert str(exc.value) == f"field 'l[1]': expected a decimal integer string, got {bad!r}"
+
+
+def csv_towers():
+    rng = random.Random(25)
+    return {
+        "prime": [tower_primes(30), sl_prime_tower(3, 20)],
+        "nested": [slnzp_tower(2, 5, 40), grig_tower(6)],
+        "lcm-chain": [tower_all_subgroups(40)],
+        "random-consistent": [random_consistent_tower(rng) for _ in range(40)],
+    }
+
+
+class TestCsvTable:
+    """Every row of the CSV table against the library."""
+
+    @pytest.mark.parametrize("kind", sorted(csv_towers()))
+    def test_every_row(self, capsys, tmp_path, kind):
+        path = tmp_path / "t.json"
+        for t in csv_towers()[kind]:
+            write_tower(tower_to_json(t), path)
+            code, out = run(capsys, "ave", "--tower", str(path), "--csv")
+            assert code == 0
+            header, *lines = out.splitlines()
+            assert header == ",".join(CSV_COLUMNS)
+            assert len(lines) == len(t)
+            for j, (line, dec) in enumerate(zip(lines, levels(t)), start=1):
+                row = dict(zip(CSV_COLUMNS, map(int, line.split(",")), strict=True))
+                assert (row["j"], row["d"], row["l"]) == (j, t.d_at(j), t.l_at(j))
+                assert (row["r"], row["s"], row["t"]) == (dec.r, dec.s, dec.t)
+                term = Fraction(dec.s - 1, t.l_at(j))
+                assert (row["term_num"], row["term_den"]) == term.as_integer_ratio()
+                partial = ave_partial(t, j)
+                assert (row["partial_num"], row["partial_den"]) == partial.as_integer_ratio()
+
+
 class TestTowerCheckConsistency:
     """tower-check's consistent / first_inconsistent_level on lattice data."""
 
     def check(self, capsys, tmp_path, t):
         path = tmp_path / "tower.json"
-        write_tower(t, path)
+        write_tower(tower_to_json(t), path)
         code, report = run_json(capsys, "tower-check", "--tower", str(path), "--quiet")
         assert code == 0
         assert report["consistent"] is (report["first_inconsistent_level"] is None)
@@ -500,6 +615,20 @@ class TestSelectPowersCommand:
             "tower too short to test the power gap from the computed start index"
         ]
 
+    @pytest.mark.parametrize(
+        "delta, epsilon, start",
+        (("1/3", "33333333/100000001", 310_000_002), ("10000001/30000000", "9999999/30000000", 30_999_999)),
+    )
+    def test_epsilon_with_a_large_numerator(self, capsys, tmp_path, delta, epsilon, start):
+        # the gap constant p**epsilon > 2 is decided without building 2**denominator
+        begin = time.perf_counter()
+        code, report = self.select(
+            capsys, tmp_path, table_json(), "--delta", delta, "--epsilon", epsilon, "--quiet"
+        )
+        assert time.perf_counter() - begin < 1
+        assert code == 0
+        assert report["gap_start_index"] == start
+
     def test_short_table_is_table_exhausted(self, capsys, tmp_path):
         # depths are selected, but neither 2 nor 3 passes p**(1/5) > 2, the gap constant
         code, report = self.select(capsys, tmp_path, table_json(2))
@@ -553,7 +682,7 @@ class TestExitCodes:
     )
     def test_library_value_error_is_argparse_usage_error(self, capsys, tmp_path, argv, message):
         path = tmp_path / "primes.json"
-        write_tower(tower_primes(5), path)
+        write_tower(tower_to_json(tower_primes(5)), path)
         code = main([str(path) if arg == "TOWER" else arg for arg in argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -17,6 +18,7 @@ from resavg.errors import (
 from resavg.integers import d_prime
 from resavg.linear import (
     EllTable,
+    _power_exceeds,
     _prime_power_base,
     IntMatrix,
     PowerSelectionParams,
@@ -528,9 +530,52 @@ class TestMultiplicativeOrders:
             with pytest.raises(CoprimalityViolation):
                 wieferich_test(p, a)
 
+    def test_gap_constant_on_an_epsilon_with_a_large_numerator(self):
+        # p**(33333333/100000001) > 2 first holds at p = 11; 2**100000001 is never built
+        params = PowerSelectionParams(
+            n=1, N=10**6, C=5, delta=Fraction(49, 100), epsilon=Fraction(33333333, 100000001)
+        )
+        start = time.perf_counter()
+        assert power_gap_start_index(params, primes=first_primes(16)) == 5
+        assert time.perf_counter() - start < 1
+
     def test_wieferich_prime_stalls_the_table(self):
         table = mult_order_ell_table(2, (1093,), 2)
         assert table.rows[0] == (0, 0)
+
+
+class TestPowerExceeds:
+    """_power_exceeds(p, a, b) decides p**a > 2**b without building either power."""
+
+    def test_matches_the_powers_on_small_exponents(self):
+        rng = random.Random(25)
+        ps = first_primes(200)
+        for _ in range(20000):
+            b = rng.randint(2, 300)
+            a, p = rng.randint(1, b - 1), rng.choice(ps)
+            assert _power_exceeds(p, a, b) == (p**a > 2**b), (p, a, b)
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 101, 1009))
+    def test_close_to_log_p_of_2(self, p):
+        # best rational approximations of log_p(2) put a*log2(p) within 1/b of b
+        for bound in (10, 1000, 10**5):
+            eps = Fraction(math.log(2) / math.log(p)).limit_denominator(bound)
+            for a, b in ((eps.numerator, eps.denominator), (eps.numerator + 1, eps.denominator),
+                         (eps.numerator, eps.denominator + 1)):
+                if a < b:
+                    assert _power_exceeds(p, a, b) == (p**a > 2**b), (p, a, b)
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13))
+    def test_needs_more_than_the_first_precision(self, p):
+        # denominators near 10**30: the gap is ~10**-30 of b, past 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 200
+        target = 1 / mpmath.log(p, 2)
+        eps = Fraction(int(target * 10**80), 10**80).limit_denominator(10**30)
+        a, b = eps.numerator, eps.denominator
+        assert b > 10**20
+        want = a * mpmath.log(p, 2) > b
+        assert _power_exceeds(p, a, b) is bool(want)
 
 
 class TestEllTableValidation:
@@ -550,6 +595,33 @@ class TestEllTableValidation:
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             EllTable(n=1, primes=(3,), rows=((0, 1),), orders=(3,))
+
+    def test_order_bound_matches_the_power(self):
+        # orders at and around p**(n^2) and the powers of 2 that bracket it
+        rng = random.Random(25)
+        for n in (1, 2, 3, 4):
+            step = n * n
+            for p in first_primes(12):
+                bound = p**step
+                bits = p.bit_length()
+                near = {2**k + e for k in range((bits - 1) * step - 1, bits * step + 2) for e in (-1, 0, 1)}
+                near |= {bound + e for e in (-1, 0, 1)} | {-1, 0, 1, 2, rng.randint(1, 2 * bound)}
+                for o in sorted(near):
+                    if 1 <= o < bound:
+                        table = EllTable(n=n, primes=(p,), rows=((0,),), orders=(o,))
+                        assert (table.n, table.primes, table.rows, table.orders) == (n, (p,), ((0,),), (o,))
+                    else:
+                        with pytest.raises(ValueError) as exc:
+                            EllTable(n=n, primes=(p,), rows=((0,),), orders=(o,))
+                        assert str(exc.value) == f"order {o} at prime {p} outside [1, {p}^{step})"
+
+    @pytest.mark.parametrize("n", (1000, 3000))
+    def test_large_dimension_builds_no_power(self, n):
+        # p**(n^2) has millions of bits; an order of one bit needs none of them
+        start = time.perf_counter()
+        table = EllTable(n=n, primes=first_primes(16), orders=[1] * 16, rows=[(0,)] * 16)
+        assert time.perf_counter() - start < 1
+        assert table.orders == (1,) * 16
 
 
 def synthetic_table(prime_count=20, depth=130):
