@@ -233,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         src = _package_from(args.rev, tmp / "export") if args.rev else ROOT / "src"
         sys.path.insert(0, str(src))
         cli = importlib.import_module("resavg.cli")
-        assert Path(cli.__file__).is_relative_to(src), cli.__file__
+        if not Path(cli.__file__).is_relative_to(src):
+            raise SystemExit(f"resavg.cli was imported from {cli.__file__}, not from {src}")
         work = tmp / "work"
         work.mkdir()
         write_fixtures(work)

@@ -30,8 +30,10 @@ from .tower import (
     ave_partial_product_form,
     ave_terms,
     classify,
+    coefficients,
     decompose,
     degenerate_levels,
+    first_inconsistent_level,
     first_power_gap_index,
     gap_check_linear,
     gap_check_power,
@@ -64,8 +66,10 @@ __all__ = [
     "ave_partial_product_form",
     "ave_terms",
     "classify",
+    "coefficients",
     "decompose",
     "degenerate_levels",
+    "first_inconsistent_level",
     "first_power_gap_index",
     "gap_check_linear",
     "gap_check_power",

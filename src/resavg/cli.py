@@ -155,11 +155,11 @@ def ell_table_from_json(obj: Any, n: int) -> linear.EllTable:
 
 def tower_table_rows(t: IndexTower) -> list[tuple[int, ...]]:
     """Per-level table in CSV_COLUMNS order: coefficients, measure term, running average."""
-    partials = accumulate(tower.ave_terms(t))
+    columns = zip(t.d, t.l, *tower.coefficients(t), accumulate(tower.ave_terms(t)))
     return [
-        (j, dj, lj, dec.r, dec.s, dec.t, *Fraction(dec.s - 1, lj).as_integer_ratio(),
+        (j, dj, lj, rj, sj, tj, *Fraction(sj - 1, lj).as_integer_ratio(),
          *partial.as_integer_ratio())
-        for j, (dj, lj, dec, partial) in enumerate(zip(t.d, t.l, tower.levels(t), partials), start=1)
+        for j, (dj, lj, rj, sj, tj, partial) in enumerate(columns, start=1)
     ]
 
 
@@ -174,7 +174,8 @@ def _degenerate_warnings(t: IndexTower) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, warnings, tower for --csv)
+# subcommand handlers: each returns (results, warnings, tower for --csv); a report's own
+# tower is an IndexTower in results["tower"], which _run renders if it prints or writes it
 
 Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], list[str], IndexTower | None]]
 
@@ -253,7 +254,7 @@ def _cmd_div(args) -> tuple[dict, list, None]:
 def _cmd_sl_tower(args) -> tuple[dict, list, IndexTower]:
     t = linear.sl_prime_tower(args.n, args.primes)
     results: dict[str, Any] = {
-        "tower": tower_to_json(t),
+        "tower": t,
         "prime_system": tower.is_prime_system(t),
     }
     warnings = _degenerate_warnings(t)
@@ -313,7 +314,7 @@ def _cmd_select_powers(args) -> tuple[dict, list, IndexTower | None]:
     warnings = []
     if args.emit_tower:
         t = linear.power_tower(table, ks)
-        results["tower"] = tower_to_json(t)
+        results["tower"] = t
         if j0 < len(t):
             results["gap_check_power"] = tower.gap_check_power(t, params.delta, start=j0)
         else:
@@ -331,7 +332,7 @@ def _cmd_wieferich(args) -> tuple[dict, list, None]:
 
 def _nested_results(t: IndexTower, digits: int) -> dict[str, Any]:
     return {
-        "tower": tower_to_json(t),
+        "tower": t,
         "nested": tower.is_nested(t),
         "ave_partial": rational_json(tower.ave_partial(t, len(t)), digits),
     }
@@ -430,8 +431,7 @@ def _cmd_zeta(args) -> tuple[dict, list, None]:
 
 def _cmd_tower_check(args) -> tuple[dict, list, IndexTower]:
     t = read_tower(args.tower)
-    _, s, _, error = tower._pass(t)
-    first_bad = None if error is None else len(s) + 1
+    first_bad = tower.first_inconsistent_level(t)
     results: dict[str, Any] = {
         "tower": t.name,
         "levels": len(t),
@@ -614,12 +614,15 @@ def _run(argv: list[str] | None) -> int:
     try:
         _check_digits(args.digits, "--digits")
         results, warnings, table_tower = args.handler(args)
-        if getattr(args, "out", None):
+        out = getattr(args, "out", None)
+        if isinstance(results.get("tower"), IndexTower) and (out or not args.csv):
+            results["tower"] = tower_to_json(results["tower"])
+        if out:
             try:
-                write_tower(results["tower"], args.out)
+                write_tower(results["tower"], out)
             except OSError as exc:
-                raise SchemaError(f"cannot write tower file {args.out}: {exc}") from exc
-            results["written"] = str(args.out)
+                raise SchemaError(f"cannot write tower file {out}: {exc}") from exc
+            results["written"] = str(out)
         if args.csv:
             if table_tower is None:
                 raise ValueError("--csv applies only to commands that carry a tower table")

@@ -244,9 +244,9 @@ def _pass(tower: IndexTower) -> tuple:
     return kept
 
 
-def _columns(tower: IndexTower, count: int | None = None) -> tuple:
-    """The r, s and t columns of levels 1..count (all levels by default), or
-    the pass's InconsistentTower if an inconsistent level is among them."""
+def coefficients(tower: IndexTower, count: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The r, s and t columns of levels 1..count (all levels by default): the
+    column view of levels(tower, count), with its ValueError and InconsistentTower."""
     count = len(tower) if count is None else count
     if not 0 <= count <= len(tower):
         raise ValueError(f"prefix length {count} out of range 0..{len(tower)}")
@@ -254,6 +254,13 @@ def _columns(tower: IndexTower, count: int | None = None) -> tuple:
     if count > len(s):
         raise InconsistentTower(error)
     return r[:count], s[:count], t[:count]
+
+
+def first_inconsistent_level(tower: IndexTower) -> int | None:
+    """The first level whose (r, s, t) are not integral, or None if there is
+    none.  Read off the kept pass, so it never raises."""
+    _, s, _, error = _pass(tower)
+    return None if error is None else len(s) + 1
 
 
 def decompose(tower: IndexTower, j: int) -> LevelDecomposition:
@@ -279,12 +286,12 @@ def levels(tower: IndexTower, count: int | None = None) -> list[LevelDecompositi
     Equal to [decompose(tower, j) for j in 1..count], and raises the same
     InconsistentTower at the first inconsistent level.
     """
-    return list(map(LevelDecomposition, *_columns(tower, count)))
+    return list(map(LevelDecomposition, *coefficients(tower, count)))
 
 
 def ave_terms(tower: IndexTower, terms: int | None = None) -> list[Fraction]:
     """The series terms (s_j - 1)/t_j of the residual average."""
-    return [Fraction(sj - 1, tj) for _, sj, tj in zip(*_columns(tower, terms))]
+    return [Fraction(sj - 1, tj) for _, sj, tj in zip(*coefficients(tower, terms))]
 
 
 def ave_partial(tower: IndexTower, terms: int) -> Fraction:
@@ -296,7 +303,7 @@ def ave_partial(tower: IndexTower, terms: int) -> Fraction:
     l[terms], which an integer level only scales by s_j.
     """
     whole, num = 0, 0
-    for rj, sj, tj in zip(*_columns(tower, terms)):
+    for rj, sj, tj in zip(*coefficients(tower, terms)):
         if tj == 1:
             whole, num = whole + sj - 1, num * sj
         else:
@@ -316,7 +323,7 @@ def ave_partial_product_form(tower: IndexTower, terms: int) -> Fraction:
     checks, not assumes.
     """
     whole, num, s_prev = 0, 0, 1
-    for rj, sj, tj in zip(*_columns(tower, terms)):
+    for rj, sj, tj in zip(*coefficients(tower, terms)):
         if tj == 1:
             whole, num = whole + sj - 1, num * s_prev
         else:
@@ -332,7 +339,7 @@ def measure_telescope(tower: IndexTower, terms: int) -> Fraction:
     after the consistency check of levels(tower, terms); the term-by-term
     fold is the oracle in the tests.
     """
-    _columns(tower, terms)
+    coefficients(tower, terms)
     return 1 - Fraction(1, tower.l_at(terms))
 
 
@@ -343,7 +350,7 @@ def _ratio(r: Sequence[int], s: Sequence[int], j: int) -> tuple[int, int]:
 
 def degenerate_levels(tower: IndexTower) -> list[int]:
     """Levels with s_j = 1 (they add nothing and have no growth ratio)."""
-    return [j for j, sj in enumerate(_columns(tower)[1], start=1) if sj == 1]
+    return [j for j, sj in enumerate(coefficients(tower)[1], start=1) if sj == 1]
 
 
 def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
@@ -352,7 +359,7 @@ def alphas(tower: IndexTower) -> list[tuple[int, Fraction]]:
     alpha_j = r_{j+1}(s_{j+1}-1) / (r_j s_j (s_j-1)) is the ratio of
     consecutive series terms, defined for j < levels with s_j >= 2.
     """
-    r, s, _ = _columns(tower)
+    r, s, _ = coefficients(tower)
     return [(j, Fraction(*_ratio(r, s, j))) for j in range(1, len(s)) if s[j - 1] != 1]
 
 
@@ -368,7 +375,7 @@ def classify(tower: IndexTower, window: int = 10) -> GrowthClass:
     """
     if window < 1:
         raise ValueError("window must be positive")
-    r, s, _ = _columns(tower)
+    r, s, _ = coefficients(tower)
     defined = [j for j in range(1, len(s)) if s[j - 1] != 1]  # where alpha_j is defined
     if len(defined) < window:
         raise InsufficientData(

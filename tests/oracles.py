@@ -13,7 +13,9 @@ coefficients are the former _coefficients, kept as the oracle for the
 one-big-division pass; the per-call coefficient loop and the
 single-level decomposition over them are the former levels() and
 decompose(), kept as oracles for the pass an IndexTower computes once
-and keeps, and the running-product loop is the
+and keeps, and the first level at which that decomposition fails is
+the oracle for first_inconsistent_level, which reads that pass.  The
+running-product loop is the
 former is_prime_system, kept for the version that reads that pass.  The
 three Horner folds are the former ave_partial, ave_partial_product_form
 and measure_telescope, which carried every term, integer or not, through
@@ -269,6 +271,16 @@ def levels_loop(t: tower.IndexTower, count: int) -> list[tower.LevelDecompositio
 def decompose_alone(t: tower.IndexTower, j: int) -> tower.LevelDecomposition:
     """(r, s, t) at level j from d[j], l[j-1] and l[j] only."""
     return coefficients_three_divisions(t.name, j, t.d_at(j), t.l_at(j - 1), t.l_at(j))
+
+
+def first_inconsistent_level_loop(t: tower.IndexTower) -> int | None:
+    """The first level j at which decompose_alone raises, or None."""
+    for j in range(1, len(t) + 1):
+        try:
+            decompose_alone(t, j)
+        except InconsistentTower:
+            return j
+    return None
 
 
 def ave_partial_fold(t: tower.IndexTower, terms: int) -> Fraction:

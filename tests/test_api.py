@@ -1,6 +1,8 @@
-"""The package surface: a stdlib-only runtime with a lean import graph, and an
-__all__ that resolves."""
+"""The package surface: a stdlib-only runtime with a lean import graph, an
+__all__ that resolves, and a CLI that reads only the tower module's public
+names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -45,3 +47,35 @@ def test_import_leaves_out_dataclasses_and_inspect():
 def test_every_exported_name_resolves():
     missing = [name for name in resavg.__all__ if not hasattr(resavg, name)]
     assert missing == []
+
+
+def private_tower_names(source: str) -> list[str]:
+    """Every `tower._name` attribute and `from .tower import _name` in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "tower") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "tower"
+            ):
+                found.append(f"tower.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tower":
+            found += [f"from tower import {a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_private_tower_names_are_found():
+    source = """
+from .tower import _pass, IndexTower
+from resavg.tower import _show
+x = tower._pass(t)
+y = resavg.tower._columns
+z = tower.levels(t)._x
+"""
+    assert sorted(private_tower_names(source)) == [
+        "from tower import _pass", "from tower import _show", "tower._columns", "tower._pass",
+    ]
+
+
+def test_cli_reads_no_private_tower_name():
+    assert private_tower_names((SRC / "resavg" / "cli.py").read_text(encoding="utf-8")) == []

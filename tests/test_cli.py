@@ -636,6 +636,52 @@ class TestSelectPowersCommand:
         assert report["error"]["type"] == "TableExhausted"
 
 
+# small arguments for every subcommand whose report carries a tower
+TOWER_ARGV = {**OUT_ARGV, "select-powers": ("--table", "table.json", *SELECT_ARGS, "--emit-tower")}
+
+
+class TestRenderOnce:
+    """A report's tower is rendered once where it is printed or written,
+    and not at all under --csv without --out."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.json").write_text(json.dumps(table_json()), encoding="utf-8")
+
+    def renders(self, capsys, monkeypatch, command, *flags):
+        calls = []
+        real = resavg.cli.tower_to_json
+
+        def counting(t):
+            calls.append(t.name)
+            return real(t)
+
+        monkeypatch.setattr(resavg.cli, "tower_to_json", counting)
+        code, _ = run(capsys, command, *TOWER_ARGV[command], *flags)
+        assert code == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("flags", ((), ("--quiet",), ("--csv",), ("--csv", "--quiet")))
+    @pytest.mark.parametrize("command", sorted(TOWER_ARGV))
+    def test_csv_renders_no_tower(self, capsys, monkeypatch, command, flags):
+        assert self.renders(capsys, monkeypatch, command, *flags) == (0 if "--csv" in flags else 1)
+
+    # --out alone: TestOneConversion.test_out_renders_the_tower_once
+    @pytest.mark.parametrize("flags", (("--quiet",), ("--csv",)))
+    @pytest.mark.parametrize("command", out_commands())
+    def test_out_renders_once(self, capsys, monkeypatch, command, flags):
+        assert self.renders(capsys, monkeypatch, command, "--out", "t.json", *flags) == 1
+
+    @pytest.mark.parametrize("command", out_commands())
+    def test_csv_out_writes_the_bytes_of_out(self, capsys, command):
+        assert run(capsys, command, *TOWER_ARGV[command], "--out", "json.out")[0] == 0
+        code, out = run(capsys, command, *TOWER_ARGV[command], "--csv", "--out", "csv.out")
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert Path("csv.out").read_bytes() == Path("json.out").read_bytes()
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

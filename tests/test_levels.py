@@ -11,7 +11,10 @@ coefficients against the three-division ones they replaced, on random
 levels of every branch and every failure.  The exact-quotient kernel
 behind every division of the pass is checked against floor division.
 The pass that the library's tower builders set at construction is
-checked against the general pass that a copy of the tower runs.
+checked against the general pass that a copy of the tower runs.  The
+pass's public column view, coefficients(), is checked against the
+records of levels(), and first_inconsistent_level() against a per-level
+decomposition loop.
 """
 
 import copy
@@ -29,6 +32,7 @@ from oracles import (
     ave_partial_product_form_fold,
     coefficients_three_divisions,
     decompose_alone,
+    first_inconsistent_level_loop,
     is_prime_system_loop,
     levels_loop,
     measure_telescope_fold,
@@ -47,8 +51,10 @@ from resavg.tower import (
     ave_partial_product_form,
     ave_terms,
     classify,
+    coefficients,
     decompose,
     degenerate_levels,
+    first_inconsistent_level,
     is_prime_system,
     levels,
     measure_telescope,
@@ -673,3 +679,48 @@ def test_builder_towers_run_no_coefficient_pass(monkeypatch):
         assert calls == [], t.name
     decompose(copy.copy(t), 2)  # a copy runs the general pass
     assert calls == list(range(1, 41))
+
+
+# ---------------------------------------------------------------------------
+# the pass's public column view
+
+
+def value_or_error(thunk):
+    """The value of thunk(), or the type and message of the ValueError or
+    InconsistentTower it raised."""
+    try:
+        return thunk()
+    except (InconsistentTower, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@PROPERTY
+@given(st.one_of(memo_towers, builder_towers), st.booleans())
+def test_coefficients_are_the_columns_of_levels(t, cold):
+    t = fresh(t) if cold else t
+    for count in (None, -1, *range(len(t) + 2)):
+        want = value_or_error(lambda: levels(t, count))
+        got = value_or_error(lambda: coefficients(t, count))
+        if isinstance(want, list):
+            assert got == tuple(tuple(getattr(dec, k) for dec in want) for k in ("r", "s", "t"))
+            assert all(type(x) is int for column in got for x in column)
+        else:
+            assert got == want
+
+
+@PROPERTY
+@given(memo_towers, st.sampled_from(sorted(FILLERS)), st.data())
+def test_first_inconsistent_level_matches_the_per_level_loop(t, filler, data):
+    t = fresh(t)
+    outcome(lambda: FILLERS[filler](t, data.draw(st.integers(1, len(t)))))
+    want = first_inconsistent_level_loop(t)
+    for _ in range(2):
+        assert first_inconsistent_level(t) == want
+    assert (want is None) is isinstance(outcome(lambda: levels(t)), list)
+
+
+@PROPERTY
+@given(builder_towers)
+def test_builder_towers_have_no_inconsistent_level(t):
+    assert first_inconsistent_level(t) is None
+    assert first_inconsistent_level(copy.copy(t)) is None
