@@ -49,7 +49,7 @@ def fixtures() -> dict[str, bytes]:
     moduli = list(range(2, 41))
     nested = [120 * 125**k for k in range(200)]
     table = {"primes": primes, "ell": [list(range(130))] * len(primes), "O": [1] * len(primes)}
-    files = {
+    return {
         "prime.json": _tower("primes-16", primes, list(accumulate(primes, lambda a, b: a * b))),
         "lcm.json": _tower("lcm-40", moduli, list(accumulate(moduli, math.lcm))),
         "nested.json": _tower("nested-200", nested, nested),
@@ -77,7 +77,6 @@ def fixtures() -> dict[str, bytes]:
         "table-entry.json": b'{"primes": [2], "ell": [[1, "x"]], "O": [1]}',
         "table-invariant.json": b'{"primes": [2, 3], "ell": [[1]], "O": [1]}',
     }
-    return files
 
 
 SELECT = ("select-powers", "--table", "table.json", "--n", "1", "--N0", "2", "--C", "5",
@@ -108,7 +107,7 @@ COMMANDS = {
 
 # A usage error per command: a missing flag, or a value the library rejects.
 USAGE = {
-    "primes": ("primes", "--upto", "-5"),
+    "primes": ("--quiet", "primes", "--upto", "-5"),
     "bertrand": ("bertrand", "--upto", "3317044064679887385961981"),
     "ave-z": ("ave-z", "--terms", "-1"),
     "ave-prime": ("ave-prime",),
@@ -183,7 +182,7 @@ def cases() -> list[list[str]]:
         out.append(("tower-check", "--tower", path))
     for path in TABLE_FILES:
         out.append(SELECT[:2] + (path,) + SELECT[3:])
-    out += [("--quiet", *USAGE[name]) if name == "primes" else USAGE[name] for name in USAGE]
+    out += USAGE.values()
     out.append(("no-such-command",))
     return [list(argv) for argv in dict.fromkeys(out)]
 

@@ -664,7 +664,7 @@ class TestRenderOnce:
 
     @pytest.mark.parametrize("flags", ((), ("--quiet",), ("--csv",), ("--csv", "--quiet")))
     @pytest.mark.parametrize("command", sorted(TOWER_ARGV))
-    def test_csv_renders_no_tower(self, capsys, monkeypatch, command, flags):
+    def test_report_renders_once_and_csv_never(self, capsys, monkeypatch, command, flags):
         assert self.renders(capsys, monkeypatch, command, *flags) == (0 if "--csv" in flags else 1)
 
     # --out alone: TestOneConversion.test_out_renders_the_tower_once
