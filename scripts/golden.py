@@ -1,6 +1,6 @@
 """Byte-identity corpus of the CLI: one JSON line per argv.
 
-    python3 scripts/golden.py [--rev REV] [--out tests/golden.jsonl]
+    python3 scripts/golden.py [--rev REV]
 
 Every argv in cases() runs through cli.main in process, in one
 directory that holds the files of fixtures().  Its line holds the argv,
@@ -224,9 +224,8 @@ def _package_from(rev: str, into: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", help="take the package from this commit (default: ./src)")
-    parser.add_argument("--out", default=str(ROOT / "tests" / "golden.jsonl"))
     args = parser.parse_args(argv)
-    out = Path(args.out).resolve()
+    out = ROOT / "tests" / "golden.jsonl"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         src = _package_from(args.rev, tmp / "export") if args.rev else ROOT / "src"

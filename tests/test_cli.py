@@ -673,14 +673,6 @@ class TestRenderOnce:
     def test_out_renders_once(self, capsys, monkeypatch, command, flags):
         assert self.renders(capsys, monkeypatch, command, "--out", "t.json", *flags) == 1
 
-    @pytest.mark.parametrize("command", out_commands())
-    def test_csv_out_writes_the_bytes_of_out(self, capsys, command):
-        assert run(capsys, command, *TOWER_ARGV[command], "--out", "json.out")[0] == 0
-        code, out = run(capsys, command, *TOWER_ARGV[command], "--csv", "--out", "csv.out")
-        assert code == 0
-        assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
-        assert Path("csv.out").read_bytes() == Path("json.out").read_bytes()
-
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
