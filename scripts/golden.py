@@ -178,6 +178,11 @@ def cases() -> list[list[str]]:
                 out.append((command, "--tower", path) + flags)
     out += [("ave", "--tower", "lcm.json", "--terms", "7", "--digits", "40"),
             ("classify", "--tower", "prime.json", "--window", "3")]
+    # the rational renderer at both ends of a short and a long approximation
+    for base in (("ave", "--tower", "prime.json"), ("ave", "--tower", "lcm.json"),
+                 ("tower-check", "--tower", "nested.json"), ("grig", "--levels", "6", "--d1-series"),
+                 COMMANDS["bertrand"], COMMANDS["density"], COMMANDS["ave-p"]):
+        out += [base + ("--digits", "1"), base + ("--digits", "60")]
     for path in SCHEMA_FILES:
         out.append(("tower-check", "--tower", path))
     for path in TABLE_FILES:
