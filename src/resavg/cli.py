@@ -8,11 +8,13 @@ machine-readable error object on stdout (SchemaError only for tower and
 table files); 2 usage error, including any library ValueError: argparse's
 usage line and message on stderr, nothing on stdout.
 
-Exact rationals are emitted as {"exact": "num/den", "approx": "..."}
-with the approximation rendered to --digits significant digits under
-round-half-even.  Integers that can outgrow 64 bits (indices, orders,
-lcm values, numerators) are emitted as decimal strings of any length:
-main lifts CPython's int<->str digit limit while it runs.
+Handlers return library values, rendered when the report prints: an
+exact rational as {"exact": "num/den", "approx": "..."}, the approximation
+to --digits significant digits under round-half-even, and a tower as its
+interchange object.  --csv renders neither, except the tower --out writes.
+Integers that can outgrow 64 bits (indices, orders, lcm values,
+numerators) are emitted as decimal strings of any length: main lifts
+CPython's int<->str digit limit while it runs.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ def decimal_str(value: Fraction | int, digits: int = 10) -> str:
     fr = Fraction(value)
     ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
     return str(ctx.divide(Decimal(fr.numerator), Decimal(fr.denominator)))
-
-
-def rational_json(value: Fraction | int, digits: int) -> dict[str, str]:
-    fr = Fraction(value)
-    return {
-        "exact": f"{fr.numerator}/{fr.denominator}",
-        "approx": decimal_str(fr, digits),
-    }
 
 
 def tower_to_json(t: IndexTower) -> dict[str, Any]:
@@ -174,8 +168,8 @@ def _degenerate_warnings(t: IndexTower) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, warnings, tower for --csv); a report's own
-# tower is an IndexTower in results["tower"], which _run renders if it prints or writes it
+# subcommand handlers: each returns (results, warnings, tower for --csv); results carry
+# library values, and _render turns a report's IndexTower and Fractions into JSON as it prints
 
 Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], list[str], IndexTower | None]]
 
@@ -190,7 +184,7 @@ def _cmd_bertrand(args) -> tuple[dict, list, None]:
     return (
         {
             "bound": args.upto,
-            "max_ratio": rational_json(ratio, args.digits),
+            "max_ratio": ratio,
             "witness": {"p": pair[0], "q": pair[1]},
             "holds": bool(ratio <= 2),
         },
@@ -200,19 +194,17 @@ def _cmd_bertrand(args) -> tuple[dict, list, None]:
 
 
 def _cmd_ave_z(args) -> tuple[dict, list, None]:
-    value = integers.ave_z_partial(args.terms)
-    return {"terms": args.terms, "value": rational_json(value, args.digits)}, [], None
+    return {"terms": args.terms, "value": integers.ave_z_partial(args.terms)}, [], None
 
 
 def _cmd_ave_prime(args) -> tuple[dict, list, None]:
-    value = integers.ave_prime_partial(args.terms)
-    return {"terms": args.terms, "value": rational_json(value, args.digits)}, [], None
+    return {"terms": args.terms, "value": integers.ave_prime_partial(args.terms)}, [], None
 
 
 def _cmd_ave_p(args) -> tuple[dict, list, None]:
     value = integers.ave_p_partial(args.prime, args.terms)
     return (
-        {"prime": args.prime, "terms": args.terms, "value": rational_json(value, args.digits)},
+        {"prime": args.prime, "terms": args.terms, "value": value},
         [f"partial sums grow linearly: every term equals {args.prime - 1}"],
         None,
     )
@@ -227,9 +219,9 @@ def _cmd_density(args) -> tuple[dict, list, None]:
             "n": args.n,
             "bound": args.upto,
             "empirical": observed,
-            "exact": rational_json(exact, args.digits),
+            "exact": exact,
             "abs_error": abs(observed - float(exact)),
-            "error_bound": rational_json(bound, args.digits),
+            "error_bound": bound,
         },
         [],
         None,
@@ -330,21 +322,21 @@ def _cmd_wieferich(args) -> tuple[dict, list, None]:
     )
 
 
-def _nested_results(t: IndexTower, digits: int) -> dict[str, Any]:
+def _nested_results(t: IndexTower) -> dict[str, Any]:
     return {
         "tower": t,
         "nested": tower.is_nested(t),
-        "ave_partial": rational_json(tower.ave_partial(t, len(t)), digits),
+        "ave_partial": tower.ave_partial(t, len(t)),
     }
 
 
 def _cmd_grig(args) -> tuple[dict, list, IndexTower]:
     t = grigorchuk.grig_tower(args.levels)
-    results = _nested_results(t, args.digits)
+    results = _nested_results(t)
     warnings: list[str] = []
     if args.d1_series:
         terms = grigorchuk.d1_series_terms(t.d, max(0, args.levels - 3))
-        results["d1_series"] = [rational_json(x, args.digits) for x in terms]
+        results["d1_series"] = terms
         trend = [terms[j] <= terms[j - 1] for j in range(1, len(terms))]
         if trend and all(trend):
             warnings.append(
@@ -356,7 +348,7 @@ def _cmd_grig(args) -> tuple[dict, list, IndexTower]:
 
 def _cmd_slzp(args) -> tuple[dict, list, IndexTower]:
     t = grigorchuk.slnzp_tower(args.n, args.p, args.levels)
-    return _nested_results(t, args.digits), [], t
+    return _nested_results(t), [], t
 
 
 def _cmd_classify(args) -> tuple[dict, list, IndexTower]:
@@ -377,10 +369,10 @@ def _cmd_ave(args) -> tuple[dict, list, IndexTower]:
     results = {
         "tower": t.name,
         "terms": terms,
-        "ave_partial": rational_json(value, args.digits),
-        "ave_partial_product_form": rational_json(product_form, args.digits),
+        "ave_partial": value,
+        "ave_partial_product_form": product_form,
         "forms_agree": value == product_form,
-        "measure_telescope": rational_json(tower.measure_telescope(t, terms), args.digits),
+        "measure_telescope": tower.measure_telescope(t, terms),
     }
     warnings = _degenerate_warnings(t)
     if value != product_form:
@@ -442,9 +434,7 @@ def _cmd_tower_check(args) -> tuple[dict, list, IndexTower]:
     if first_bad is None:
         results["prime_system"] = tower.is_prime_system(t)
         results["nested"] = tower.is_nested(t)
-        results["measure_telescope"] = rational_json(
-            tower.measure_telescope(t, len(t)), args.digits
-        )
+        results["measure_telescope"] = tower.measure_telescope(t, len(t))
         warnings = _degenerate_warnings(t)
     return results, warnings, t
 
@@ -577,8 +567,18 @@ def _parameters(args: argparse.Namespace) -> dict[str, Any]:
     return out
 
 
-def _print_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _render(value: Any, digits: int) -> Any:
+    """json's default for a report: a tower's interchange object, or an exact rational."""
+    if isinstance(value, IndexTower):
+        return tower_to_json(value)
+    if isinstance(value, Fraction):
+        exact = f"{value.numerator}/{value.denominator}"
+        return {"exact": exact, "approx": decimal_str(value, digits)}
+    raise TypeError(f"a report cannot carry {type(value).__name__}")
+
+
+def _print_json(payload: Any, digits: int) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True, default=lambda v: _render(v, digits)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -615,9 +615,9 @@ def _run(argv: list[str] | None) -> int:
         _check_digits(args.digits, "--digits")
         results, warnings, table_tower = args.handler(args)
         out = getattr(args, "out", None)
-        if isinstance(results.get("tower"), IndexTower) and (out or not args.csv):
-            results["tower"] = tower_to_json(results["tower"])
         if out:
+            # rendered here, so the file and the report share one dict
+            results["tower"] = tower_to_json(results["tower"])
             try:
                 write_tower(results["tower"], out)
             except OSError as exc:
@@ -631,21 +631,13 @@ def _run(argv: list[str] | None) -> int:
             print(",".join(CSV_COLUMNS))
             for row in rows:
                 print(",".join(map(str, row)))
-        elif args.quiet:
-            _print_json(results)
         else:
-            _print_json(
-                {
-                    "schema": SCHEMA,
-                    "command": args.command,
-                    "parameters": _parameters(args),
-                    "results": results,
-                    "warnings": warnings,
-                }
-            )
+            envelope = {"schema": SCHEMA, "command": args.command, "parameters": _parameters(args),
+                        "results": results, "warnings": warnings}
+            _print_json(results if args.quiet else envelope, args.digits)
     except ResavgError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        _print_json({"schema": SCHEMA, "command": args.command, "error": error})
+        _print_json({"schema": SCHEMA, "command": args.command, "error": error}, args.digits)
         return 1
     except ValueError as exc:
         parser.print_usage(sys.stderr)

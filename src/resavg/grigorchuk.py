@@ -41,11 +41,11 @@ def level_quotient_order(level: int) -> LevelQuotient:
 
 
 def grig_tower(levels: int) -> IndexTower:
-    """Nested tower of level-kernel indices (d = l by construction)."""
+    """Nested tower of level-kernel indices: d = l = the level orders."""
     if levels < 1:
         raise ValueError("levels must be positive")
-    orders = tuple(level_quotient_order(j).order for j in range(1, levels + 1))
-    return IndexTower(name=f"grigorchuk({levels})", d=orders, l=orders)
+    orders = [level_quotient_order(j).order for j in range(1, levels + 1)]
+    return nested_tower(f"grigorchuk({levels})", [o // q for o, q in zip(orders, [1] + orders)])
 
 
 def d1_series_terms(orders: list[int] | tuple[int, ...], terms: int) -> list[Fraction]:

@@ -1,6 +1,6 @@
 """The package surface: a stdlib-only runtime with a lean import graph, an
 __all__ that resolves, and a CLI that reads only the tower module's public
-names."""
+names and whose handlers leave rendering to the report."""
 
 import ast
 import json
@@ -49,8 +49,10 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def private_tower_names(source: str) -> list[str]:
-    """Every `tower._name` attribute and `from .tower import _name` in source."""
+def boundary_breaches(source: str) -> list[str]:
+    """Every `tower._name` attribute and `from .tower import _name` in source,
+    every `_cmd_*` handler that reads a `digits` attribute (rendering is the
+    report's), and a defined rational_json."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
@@ -61,6 +63,14 @@ def private_tower_names(source: str) -> list[str]:
                 found.append(f"tower.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tower":
             found += [f"from tower import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.FunctionDef) and node.name == "rational_json":
+            found.append("def rational_json")
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            found += [
+                f"{node.name} reads digits"
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "digits"
+            ]
     return found
 
 
@@ -71,11 +81,16 @@ from resavg.tower import _show
 x = tower._pass(t)
 y = resavg.tower._columns
 z = tower.levels(t)._x
+def rational_json(value, digits): ...
+def _cmd_a(args): return f(args.digits)
+def _cmd_b(args): return args.terms
+def _run(args): return args.digits
 """
-    assert sorted(private_tower_names(source)) == [
+    assert sorted(boundary_breaches(source)) == [
+        "_cmd_a reads digits", "def rational_json",
         "from tower import _pass", "from tower import _show", "tower._columns", "tower._pass",
     ]
 
 
 def test_cli_reads_no_private_tower_name():
-    assert private_tower_names((SRC / "resavg" / "cli.py").read_text(encoding="utf-8")) == []
+    assert boundary_breaches((SRC / "resavg" / "cli.py").read_text(encoding="utf-8")) == []

@@ -638,40 +638,53 @@ class TestSelectPowersCommand:
 
 # small arguments for every subcommand whose report carries a tower
 TOWER_ARGV = {**OUT_ARGV, "select-powers": ("--table", "table.json", *SELECT_ARGS, "--emit-tower")}
+# every report that carries a tower or exact rationals: argv, towers, rationals
+RENDERED = {
+    **{command: (argv, 1, 0) for command, argv in TOWER_ARGV.items()},
+    "grig": (TOWER_ARGV["grig"], 1, 4),  # ave_partial and three d1-series terms
+    "slzp": (TOWER_ARGV["slzp"], 1, 1),
+    "ave": (("--tower", "primes.json"), 0, 3),
+    "tower-check": (("--tower", "primes.json"), 0, 1),
+}
 
 
 class TestRenderOnce:
-    """A report's tower is rendered once where it is printed or written,
-    and not at all under --csv without --out."""
+    """A report's tower and each of its exact rationals are rendered once
+    where they are printed or written, and not at all under --csv, except
+    the tower that --out writes."""
 
     @pytest.fixture(autouse=True)
     def in_tmp(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "table.json").write_text(json.dumps(table_json()), encoding="utf-8")
+        write_tower(tower_to_json(tower_primes(5)), tmp_path / "primes.json")
 
     def renders(self, capsys, monkeypatch, command, *flags):
-        calls = []
-        real = resavg.cli.tower_to_json
+        """(tower_to_json calls, decimal_str calls) of one call."""
+        calls = {"tower_to_json": 0, "decimal_str": 0}
+        for name in calls:
+            def counting(*args, name=name, real=getattr(resavg.cli, name)):
+                calls[name] += 1
+                return real(*args)
 
-        def counting(t):
-            calls.append(t.name)
-            return real(t)
-
-        monkeypatch.setattr(resavg.cli, "tower_to_json", counting)
-        code, _ = run(capsys, command, *TOWER_ARGV[command], *flags)
+            monkeypatch.setattr(resavg.cli, name, counting)
+        code, _ = run(capsys, command, *RENDERED[command][0], *flags)
         assert code == 0
-        return len(calls)
+        return calls["tower_to_json"], calls["decimal_str"]
 
     @pytest.mark.parametrize("flags", ((), ("--quiet",), ("--csv",), ("--csv", "--quiet")))
-    @pytest.mark.parametrize("command", sorted(TOWER_ARGV))
+    @pytest.mark.parametrize("command", sorted(RENDERED))
     def test_report_renders_once_and_csv_never(self, capsys, monkeypatch, command, flags):
-        assert self.renders(capsys, monkeypatch, command, *flags) == (0 if "--csv" in flags else 1)
+        _, towers, rationals = RENDERED[command]
+        expected = (0, 0) if "--csv" in flags else (towers, rationals)
+        assert self.renders(capsys, monkeypatch, command, *flags) == expected
 
     # --out alone: TestOneConversion.test_out_renders_the_tower_once
     @pytest.mark.parametrize("flags", (("--quiet",), ("--csv",)))
     @pytest.mark.parametrize("command", out_commands())
     def test_out_renders_once(self, capsys, monkeypatch, command, flags):
-        assert self.renders(capsys, monkeypatch, command, "--out", "t.json", *flags) == 1
+        rationals = 0 if "--csv" in flags else RENDERED[command][2]
+        assert self.renders(capsys, monkeypatch, command, "--out", "t.json", *flags) == (1, rationals)
 
 
 class TestExitCodes:

@@ -38,7 +38,7 @@ from oracles import (
     measure_telescope_fold,
 )
 from resavg.errors import InconsistentTower, InsufficientData
-from resavg.grigorchuk import slnzp_tower
+from resavg.grigorchuk import grig_tower, slnzp_tower
 from resavg.integers import tower_prime_powers, tower_primes
 from resavg.linear import mult_order_ell_table, power_tower, sl_exact_ell_table, sl_prime_tower
 from resavg.primes import first_primes
@@ -612,6 +612,7 @@ builder_towers = st.one_of(
     st.builds(tower_primes, st.integers(1, 40)),
     st.builds(tower_prime_powers, SMALL_PRIMES, st.integers(1, 40)),
     st.builds(slnzp_tower, st.integers(2, 3), SMALL_PRIMES, st.integers(1, 40)),
+    st.builds(grig_tower, st.integers(1, 6)),
     power_towers(),
 )
 
@@ -663,6 +664,7 @@ def test_builder_towers_run_no_coefficient_pass(monkeypatch):
         power_tower(table, (1,) * 6 + (2,) * 6),
         tower_primes(40),
         tower_prime_powers(3, 40),
+        grig_tower(6),
         slnzp_tower(2, 5, 40),
     ):
         for j in range(1, len(t) + 1):
@@ -675,7 +677,7 @@ def test_builder_towers_run_no_coefficient_pass(monkeypatch):
             ave_terms(t, terms)
         alphas(t)
         degenerate_levels(t)
-        classify(t, window=10)
+        classify(t, window=min(10, len(t) - 1))
         is_prime_system(t)
         assert calls == [], t.name
     decompose(copy.copy(t), 2)  # a copy runs the general pass
